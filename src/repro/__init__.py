@@ -61,12 +61,9 @@ from .rng import RngRegistry
 from .stream import (
     Alert,
     AlertKind,
-    Event,
     EventKind,
     StreamAnalyzer,
     StreamInventory,
-    flatten_field_dataset,
-    flatten_result,
     load_checkpoint,
     save_checkpoint,
 )
@@ -81,7 +78,6 @@ __all__ = [
     "AlertKind",
     "AnalysisContext",
     "AvailabilitySla",
-    "Event",
     "EventKind",
     "ComponentProvisioner",
     "ConfigError",
@@ -111,8 +107,6 @@ __all__ = [
     "clean_dataset",
     "compare_skus",
     "degrade_and_clean",
-    "flatten_field_dataset",
-    "flatten_result",
     "get_experiment",
     "lambda_matrix",
     "load_checkpoint",

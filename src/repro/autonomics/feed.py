@@ -22,8 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from ..stream.blocks import DEFAULT_BLOCK_SIZE, EventBlock, blocks_from_parts
-from ..stream.events import StreamInventory
+from ..stream.blocks import (
+    DEFAULT_BLOCK_SIZE,
+    EventBlock,
+    StreamInventory,
+    blocks_from_parts,
+)
 
 
 class SessionEventFeed:

@@ -36,7 +36,7 @@ from ..errors import ConfigError
 from ..failures.engine import SimulationResult, SimulationSession
 from ..failures.tickets import HARDWARE_FAULTS
 from ..stream.analyzer import StreamAnalyzer
-from ..stream.events import StreamInventory
+from ..stream.blocks import StreamInventory
 from ..telemetry.aggregate import lambda_matrix
 from .actions import OrderSpares
 from .controller import Controller, Observation, PredictiveController, make_controller

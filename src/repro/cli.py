@@ -274,7 +274,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         blocks_from_directory,
         calibrated_spare_fraction,
         directory_inventory,
-        flatten_directory,
         follow_directory,
         load_checkpoint,
         save_checkpoint,
@@ -284,11 +283,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     in_dir = pathlib.Path(args.in_dir)
     inventory = directory_inventory(in_dir, config)
     sla = AvailabilitySla(args.sla)
-    block_size = args.block_size if args.block_size else 0
-    if block_size < 0:
-        print(f"error: --block-size must be >= 0, got {block_size}",
-              file=sys.stderr)
-        return 2
 
     if args.resume:
         analyzer = load_checkpoint(args.resume, inventory)
@@ -304,17 +298,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 inventory.n_days, window_hours=args.window_hours,
             )
             if (in_dir / "tickets.csv").exists():
-                if block_size:
-                    for block in blocks_from_directory(
-                        in_dir, config, kinds={EventKind.TICKET_OPEN},
-                        block_size=block_size,
-                    ):
-                        mu.update_block(block)
-                else:
-                    for event in flatten_directory(
-                        in_dir, config, kinds={EventKind.TICKET_OPEN},
-                    ):
-                        mu.update(event)
+                for block in blocks_from_directory(
+                    in_dir, config, kinds={EventKind.TICKET_OPEN},
+                ):
+                    mu.update_block(block)
                 fraction = calibrated_spare_fraction(
                     mu.matrix(), inventory.n_servers, sla,
                 )
@@ -328,23 +315,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         )
 
     if args.follow:
-        # Follow mode tails a growing export row by row; it stays on
-        # the per-event path regardless of --block-size.
-        events = follow_directory(
+        blocks = follow_directory(
             in_dir, config, poll_interval=args.poll_interval,
             max_idle_polls=args.max_idle_polls, skip=analyzer.events_seen,
         )
-        processed = analyzer.consume(events, max_events=args.max_events)
-    elif block_size:
-        blocks = blocks_from_directory(
-            in_dir, config, skip=analyzer.events_seen,
-            block_size=block_size,
-        )
-        processed = analyzer.consume_blocks(blocks,
-                                            max_events=args.max_events)
     else:
-        events = flatten_directory(in_dir, config, skip=analyzer.events_seen)
-        processed = analyzer.consume(events, max_events=args.max_events)
+        blocks = blocks_from_directory(in_dir, config,
+                                       skip=analyzer.events_seen)
+    processed = analyzer.consume_blocks(blocks, max_events=args.max_events)
     truncated = args.max_events is not None and processed >= args.max_events
 
     if args.checkpoint:
@@ -686,10 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "own μ history — alert-free on pristine data)")
     stream.add_argument("--drift-ratio", type=float, default=2.0,
                         help="λ drift departure factor (default 2.0)")
-    stream.add_argument("--block-size", type=int, default=8192,
-                        help="events per columnar block on the one-shot "
-                             "path (0 = legacy per-event flatten; "
-                             "default 8192)")
     stream.add_argument("--max-events", type=int, default=None,
                         help="stop after N events (pair with --checkpoint)")
     stream.add_argument("--checkpoint", default=None,
@@ -698,8 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="resume from a --checkpoint bundle (skips the "
                              "already-processed prefix)")
     stream.add_argument("--follow", action="store_true",
-                        help="poll the directory for appended tickets "
-                             "(ticket events only) instead of one pass")
+                        help="poll the directory for appended tickets and "
+                             "stream as they arrive; prints exactly what "
+                             "one pass over the final export prints")
     stream.add_argument("--poll-interval", type=float, default=1.0,
                         help="--follow poll period in seconds (default 1)")
     stream.add_argument("--max-idle-polls", type=int, default=3,

@@ -11,19 +11,19 @@ vectors the predictor consumes:
   lifetime high-humidity share of readings;
 * inventory context — SKU, datacenter, age and rack capacity.
 
-Both the scalar :meth:`~StreamingFeatures.update` and the columnar
-:meth:`~StreamingFeatures.update_block` paths commit bit-identical
-state (the block path is the throughput path; the scalar path is the
-executable specification), and :func:`save_feature_state` /
-:func:`load_feature_state` checkpoint the extractor mid-trace with the
-same one-``.npz`` convention as :mod:`repro.stream.checkpoint` — a
-resumed extractor's snapshots are bit-identical to a continuous pass.
+:meth:`~StreamingFeatures.update_block` commits the same state however
+the stream is cut into blocks (its one-event-at-a-time specification
+is the reference kept in ``tests/stream_oracle.py``), and
+:func:`save_feature_state` / :func:`load_feature_state` checkpoint the
+extractor mid-trace with the same one-``.npz`` convention as
+:mod:`repro.stream.checkpoint` — a resumed extractor's snapshots are
+bit-identical to a continuous pass.
 
 The day rings share :class:`~repro.stream.estimators.StreamingGroupCounts`'s
 advance rule: event days are non-decreasing in stream order, so a block
 can advance once to its final day and land only the rows whose slots
 that advance left alive (``day > final - window``) — every older row's
-slot would have been zeroed by a later scalar advance anyway.
+slot would have been zeroed by a later per-event advance anyway.
 """
 
 from __future__ import annotations
@@ -35,8 +35,13 @@ import numpy as np
 
 from ..errors import DataError
 from ..failures.tickets import FAULT_CODE, FaultType, HARDWARE_FAULTS
-from ..stream.blocks import KIND_RANK, EventBlock, group_start_flags
-from ..stream.events import Event, EventKind, StreamInventory
+from ..stream.blocks import (
+    KIND_RANK,
+    EventBlock,
+    EventKind,
+    StreamInventory,
+    group_start_flags,
+)
 from ..telemetry.schema import (
     INVENTORY_CSV,
     TICKET_LOG,
@@ -109,9 +114,10 @@ class StreamingFeatures:
             np.arange(self.n_servers_total, dtype=np.int64)
             - inventory.server_base[self._rack_of]
         )
-        codes = sorted(FAULT_CODE[fault] for fault in HARDWARE_FAULTS)
-        self._hw_codes = np.array(codes, dtype=np.int64)
-        self._hw_code_set = set(codes)
+        self._hw_codes = np.array(
+            sorted(FAULT_CODE[fault] for fault in HARDWARE_FAULTS),
+            dtype=np.int64,
+        )
         self._disk_code = FAULT_CODE[FaultType.DISK]
 
         window = self.window_days
@@ -143,51 +149,10 @@ class StreamingFeatures:
             self._hot_ring[:, slot] = 0
         self._current_day = day
 
-    # -- scalar path (the executable specification) -------------------------
-
-    def update(self, event: Event) -> None:
-        """Fold one event into the feature state."""
-        if event.kind is EventKind.SENSOR_SAMPLE:
-            rack = event.rack_index
-            if not 0 <= rack < self.inventory.n_racks:
-                return
-            day = max(int(event.time_hours // 24.0), 0)
-            self._advance(day)
-            self.sensor_count[rack] += 1
-            if event.value > self.hot_temp_f:
-                self.hot_total[rack] += 1
-                self._hot_ring[rack, day % self.window_days] += 1
-            if event.value2 > self.humid_rh:
-                self.humid_total[rack] += 1
-            return
-        if event.kind is not EventKind.TICKET_OPEN or event.false_positive:
-            return
-        rack = event.rack_index
-        if not 0 <= rack < self.inventory.n_racks:
-            return
-        offset = event.server_offset
-        if not 0 <= offset < int(self.inventory.n_servers[rack]):
-            return
-        day = max(int(event.time_hours // 24.0), 0)
-        self._advance(day)
-        gid = int(self.inventory.server_base[rack]) + offset
-        if int(event.fault_code) in self._hw_code_set:
-            self.hw_total[gid] += 1
-            self._hw_ring[gid, day % self.window_days] += 1
-            if int(event.fault_code) == self._disk_code:
-                self.disk_total[gid] += 1
-            last = self.last_hw_time[gid]
-            if not np.isnan(last):
-                self.gap_sum[gid] += event.time_hours - last
-                self.gap_count[gid] += 1
-            self.last_hw_time[gid] = event.time_hours
-        else:
-            self.other_total[gid] += 1
-
-    # -- columnar path ------------------------------------------------------
+    # -- stream consumption --------------------------------------------------
 
     def update_block(self, block: EventBlock) -> None:
-        """Fold a whole block in — bit-identical to per-event updates."""
+        """Fold a whole block in (the same state under any blocking)."""
         if not len(block):
             return
         sensor_rows = np.nonzero(block.kind_code == _SENSOR_CODE)[0]
@@ -265,8 +230,8 @@ class StreamingFeatures:
 
         ``np.add.at`` applies additions sequentially in index order, and
         the stable per-gid sort preserves stream order within each gid,
-        so every ``gap_sum`` slot accumulates its gaps in exactly the
-        order the scalar path would — float-for-float identical.
+        so every ``gap_sum`` slot accumulates its gaps in stream order
+        under any blocking — float-for-float identical.
         """
         order = np.argsort(gid, kind="stable")
         g = gid[order]

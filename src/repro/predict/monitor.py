@@ -12,10 +12,10 @@ risk episode per server.
 Day-roll semantics mirror the drift detector: a day is evaluated the
 moment the first event of a *later* day arrives, before that event is
 folded — so the features behind every score contain exactly the
-completed day's history.  The block path splits blocks at day
-boundaries to keep that ordering, which makes scalar and block
-processing bit-identical (alerts are anchored to the day boundary
-time, not the triggering event, so a resume cannot shift timestamps).
+completed day's history.  ``update_block`` splits blocks at day
+boundaries to keep that ordering, which makes the alerts independent
+of the blocking (they are anchored to the day boundary time, not the
+triggering event, so a resume cannot shift timestamps either).
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from ..stream.blocks import EventBlock
-from ..stream.events import Event, StreamInventory
+from ..stream.blocks import EventBlock, StreamInventory
 from ..stream.triggers import Alert, AlertKind
 from .features import StreamingFeatures
 from .model import TwoStagePredictor
@@ -123,27 +122,14 @@ class PredictiveMonitor:
 
     # -- stream consumption --------------------------------------------------
 
-    def update(self, event: Event) -> list[Alert]:
-        """Fold one event in; returns alerts for any days it completes."""
-        day = max(int(event.time_hours // 24.0), 0)
-        alerts: list[Alert] = []
-        if day > self._current_day:
-            alerts = self._roll_to(day)
-        self.features.update(event)
-        return alerts
-
-    def update_block(self, block: EventBlock) -> list[Alert]:
-        """Fold a whole block in; returns new alerts in order."""
-        return [alert for _, alert in self._update_block_indexed(block)]
-
-    def _update_block_indexed(
+    def update_block(
         self, block: EventBlock,
     ) -> list[tuple[int, Alert]]:
-        """Block update returning ``(block row, alert)`` pairs.
+        """Fold a whole block in; returns ``(block row, alert)`` pairs.
 
         The block is split at day boundaries: each completed day is
-        evaluated before any later-day event is folded, exactly like
-        the scalar path.
+        evaluated before any later-day event is folded, so the alerts
+        do not depend on the blocking.
         """
         if not len(block):
             return []

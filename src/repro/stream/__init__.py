@@ -6,24 +6,28 @@ answers the paper's questions over a completed trace; this package
 answers them *while the trace is still arriving*, with a verified
 contract that both answers are bit-identical.
 
-Since the columnar rewrite the hot path is :mod:`repro.stream.blocks`:
-flatteners yield :class:`EventBlock` record batches, every consumer
-advances via a vectorized ``update_block``, and the per-:class:`Event`
-view is a thin compatibility layer on top (see ``docs/stream.md``).
+:class:`EventBlock` record batches are the only unit of work: the
+flatteners in :mod:`repro.stream.blocks` (one-shot and ``follow``)
+yield them and every consumer advances via a vectorized
+``update_block`` (see ``docs/stream.md``).
 """
 
 from .analyzer import StreamAnalyzer
 from .blocks import (
+    ALL_KINDS,
     DEFAULT_BLOCK_SIZE,
     EVENT_DTYPE,
     BlockSegment,
-    BlockStream,
     EventBlock,
+    EventKind,
+    StreamInventory,
     StringPool,
     blocks_from_directory,
     blocks_from_field_dataset,
     blocks_from_parts,
     blocks_from_result,
+    directory_inventory,
+    follow_directory,
 )
 from .checkpoint import (
     STREAM_CHECKPOINT_SCHEMA,
@@ -32,21 +36,6 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .estimators import StreamingGroupCounts, StreamingLambda, StreamingMu
-from .events import (
-    ALL_KINDS,
-    Event,
-    EventKind,
-    StreamInventory,
-    directory_inventory,
-    flatten_cached,
-    flatten_directory,
-    flatten_field_dataset,
-    flatten_parts,
-    flatten_parts_merged,
-    flatten_result,
-    follow_directory,
-    iter_block_events,
-)
 from .tables import (
     lambda_matrix_from_blocks,
     mu_matrix_from_blocks,
@@ -65,10 +54,8 @@ __all__ = [
     "Alert",
     "AlertKind",
     "BlockSegment",
-    "BlockStream",
     "DEFAULT_BLOCK_SIZE",
     "EVENT_DTYPE",
-    "Event",
     "EventBlock",
     "EventKind",
     "RateDriftDetector",
@@ -87,14 +74,7 @@ __all__ = [
     "calibrated_spare_fraction",
     "checkpoint_meta",
     "directory_inventory",
-    "flatten_cached",
-    "flatten_directory",
-    "flatten_field_dataset",
-    "flatten_parts",
-    "flatten_parts_merged",
-    "flatten_result",
     "follow_directory",
-    "iter_block_events",
     "lambda_matrix_from_blocks",
     "load_checkpoint",
     "mu_matrix_from_blocks",

@@ -1,9 +1,10 @@
 """StreamAnalyzer: the one-object consumer wiring estimators + triggers.
 
-Feed it events (from any :mod:`repro.stream.events` flattener) and it
-maintains the full live picture — rolling λ and μ matrices, per-SKU and
-per-DC counters, the SLA-risk gauge and the drift detector — emitting
-typed alerts as they fire.  It tracks its absolute stream position, so
+Feed it :class:`~repro.stream.blocks.EventBlock` chunks (from any
+:mod:`repro.stream.blocks` flattener) and it maintains the full live
+picture — rolling λ and μ matrices, per-SKU and per-DC counters, the
+SLA-risk gauge and the drift detector — emitting typed alerts as they
+fire.  It tracks its absolute stream position, so
 :mod:`repro.stream.checkpoint` can serialize it mid-trace and a resumed
 analyzer (fed the stream suffix via ``skip=events_seen``) produces
 bit-identical matrices, summaries and alerts.
@@ -18,9 +19,8 @@ import numpy as np
 from ..decisions.availability import AvailabilitySla
 from ..errors import DataError
 from ..telemetry.schema import TICKET_LOG
-from .blocks import KIND_RANK, EventBlock
+from .blocks import KIND_RANK, EventBlock, EventKind, StreamInventory
 from .estimators import StreamingGroupCounts, StreamingLambda, StreamingMu
-from .events import Event, EventKind, StreamInventory
 from .triggers import Alert, RateDriftDetector, SlaRiskMonitor
 
 _INVENTORY_CODE = KIND_RANK[EventKind.INVENTORY_CHANGE]
@@ -88,8 +88,8 @@ class StreamAnalyzer:
     def attach_monitor(self, monitor) -> None:
         """Attach an extra trigger (e.g. a predictive monitor).
 
-        Anything exposing ``update(event)``, ``update_block(block)`` /
-        ``_update_block_indexed(block)`` and ``finish()`` plugs in; it
+        Anything exposing ``update_block(block)`` — returning
+        ``(block row, alert)`` pairs — and ``finish()`` plugs in; it
         sees *every* event (sensors included — feature-based monitors
         need them), and its alerts sort after the built-in triggers'
         within an event.  Must be attached before any event is fed.
@@ -102,67 +102,16 @@ class StreamAnalyzer:
             raise DataError("attach monitors before feeding the stream")
         self.extra_monitors.append(monitor)
 
-    def process(self, event: Event) -> list[Alert]:
-        """Fold one event in; returns (and records) any new alerts.
-
-        Events must arrive in stream order: ``event.seq`` has to equal
-        the analyzer's current position, which is what makes a mid-trace
-        resume provably seamless (a gap or replay raises
-        :class:`~repro.errors.DataError` instead of silently skewing
-        results).
-        """
-        if event.seq != self.events_seen:
-            raise DataError(
-                f"stream position mismatch: analyzer at {self.events_seen}, "
-                f"event seq {event.seq} (resume with skip=events_seen)"
-            )
-        if self.finished:
-            raise DataError("analyzer already finished")
-        alerts: list[Alert] = []
-        if event.kind is EventKind.INVENTORY_CHANGE:
-            self.racks_in_service += int(event.value)
-        elif event.kind is EventKind.SENSOR_SAMPLE:
-            self.sensor_samples += 1
-        else:
-            self.lam.update(event)
-            self.mu.update(event)
-            self.sku_counts.update(event)
-            self.dc_counts.update(event)
-            if self.drift is not None:
-                alerts.extend(self.drift.update(event))
-            if self.monitor is not None:
-                alerts.extend(self.monitor.update(event))
-        for monitor in self.extra_monitors:
-            alerts.extend(monitor.update(event))
-        self.events_seen = event.seq + 1
-        self.last_time_hours = max(self.last_time_hours, event.time_hours)
-        self.alerts.extend(alerts)
-        return alerts
-
-    def consume(
-        self,
-        events: Iterable[Event],
-        max_events: int | None = None,
-    ) -> int:
-        """Process events until exhaustion (or ``max_events``); returns
-        how many were processed this call."""
-        processed = 0
-        for event in events:
-            if max_events is not None and processed >= max_events:
-                break
-            self.process(event)
-            processed += 1
-        return processed
-
     def process_block(self, block: EventBlock) -> list[Alert]:
         """Fold a whole :class:`~repro.stream.blocks.EventBlock` in.
 
-        The columnar fast path: bit-identical matrices, summaries and
-        alert sequence to calling :meth:`process` on each of the
-        block's events, but every consumer advances via its vectorized
-        ``update_block``.  The block's ``start_seq`` must equal the
-        analyzer's position — the same resume contract as per-event
-        processing.
+        Every consumer advances via its vectorized ``update_block``;
+        matrices, summaries and the alert sequence do not depend on how
+        the stream is cut into blocks.  The block's ``start_seq`` must
+        equal the analyzer's position, which is what makes a mid-trace
+        resume provably seamless: a gap or replay raises
+        :class:`~repro.errors.DataError` instead of silently skewing
+        results.
         """
         if block.start_seq != self.events_seen:
             raise DataError(
@@ -186,17 +135,17 @@ class StreamAnalyzer:
         if self.drift is not None:
             indexed.extend(
                 (row, 0, alert)
-                for row, alert in self.drift._update_block_indexed(block)
+                for row, alert in self.drift.update_block(block)
             )
         if self.monitor is not None:
             indexed.extend(
                 (row, 1, alert)
-                for row, alert in self.monitor._update_block_indexed(block)
+                for row, alert in self.monitor.update_block(block)
             )
         for extra_rank, monitor in enumerate(self.extra_monitors):
             indexed.extend(
                 (row, 2 + extra_rank, alert)
-                for row, alert in monitor._update_block_indexed(block)
+                for row, alert in monitor.update_block(block)
             )
         indexed.sort(key=lambda item: item[:2])
         alerts = [alert for _, _, alert in indexed]
@@ -215,9 +164,8 @@ class StreamAnalyzer:
     ) -> int:
         """Process blocks until exhaustion (or ``max_events`` events);
         returns how many events were processed this call.  A block
-        straddling the ``max_events`` boundary is split — the analyzer
-        stops at exactly the same stream position the per-event path
-        would."""
+        straddling the ``max_events`` boundary is split, so the analyzer
+        stops at exactly stream position ``events_seen + max_events``."""
         processed = 0
         for block in blocks:
             if max_events is not None:

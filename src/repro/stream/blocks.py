@@ -1,22 +1,20 @@
-"""Columnar event core: chunked structured-array blocks of the stream.
+"""Columnar event core: the stream as chunked structured-array blocks.
 
-The original flatteners in :mod:`repro.stream.events` materialize one
-:class:`~repro.stream.events.Event` object per element — fine for a
-quarter-scale year, hopeless at the 10⁸-event scale of real fleet
-traces.  This module is the vectorized substrate underneath them:
+:class:`EventBlock` is the stream layer's only unit of work — every
+flattener yields blocks and every consumer folds them in through its
+``update_block``:
 
 * :data:`EVENT_DTYPE` — one packed record per event (64 bytes, exact
   ``float64`` times and readings so every consumer stays bit-identical
-  to the scalar path);
+  to the batch path);
 * :class:`EventBlock` — a contiguous slab of records plus its absolute
   ``start_seq`` stream position (``seq`` is derived, never stored);
-* :func:`blocks_from_parts` / :class:`BlockStream` — the columnar
-  flatten: per-kind column sources are pre-ordered exactly as the
-  legacy generators yield them, then a single stable ``np.lexsort`` on
-  ``(time_hours, kind rank)`` reproduces the heap merge's total order
-  (ranks are distinct per kind, so equal-key ties only arise within a
-  kind, where concatenation position — the source order — breaks them
-  just as a stable merge does);
+* :func:`blocks_from_parts` — the columnar flatten: per-kind column
+  sources, each pre-ordered by event time (ticket ties by log
+  ordinal), merged on ``(time_hours, kind rank, source order)`` — the
+  stream's total order;
+* :func:`follow_directory` — the same flatten over a still-growing
+  export, released as far as the appended rows make it final;
 * :class:`BlockSegment` — a flattened stream spilled to a single
   ``.npz`` bundle (via :func:`repro.cache.save_array_bundle`) and read
   back as zero-copy memory maps;
@@ -26,9 +24,7 @@ traces.  This module is the vectorized substrate underneath them:
 
 The event *model* (kinds, ranks, the rack-geometry inventory) lives
 here too, at the bottom of the ``stream`` package's internal layering
-(see ``PACKAGE_LAYER_ORDER``): :mod:`repro.stream.events` re-exports it
-and builds the per-``Event`` view on top, and the estimators/analyzer
-consume blocks directly through their ``update_block`` paths.
+(see ``PACKAGE_LAYER_ORDER``).
 """
 
 from __future__ import annotations
@@ -255,7 +251,7 @@ class StreamInventory:
 
 
 def _default_records(n: int) -> np.ndarray:
-    """A fresh record slab with every field at its Event default."""
+    """A fresh record slab with every field at its not-applicable value."""
     data = np.zeros(n, dtype=EVENT_DTYPE)
     data[TICKET_LOG.rack_index] = -1
     data[TICKET_LOG.server_offset] = -1
@@ -428,7 +424,7 @@ def _inventory_source(inventory: StreamInventory) -> _Source:
         np.ones(inventory.n_racks),
         -np.ones(int(exit_mask.sum())),
     ])
-    # Same total order as the legacy tuple sort: (time, rack, delta).
+    # Total order within the kind: (time, rack, delta).
     order = np.lexsort((delta, rack, time))
     time, rack, delta = time[order], rack[order], delta[order]
 
@@ -473,8 +469,8 @@ def _ticket_source(log: "TicketLog", close: bool) -> _Source:
     kind = EventKind.TICKET_CLOSE if close else EventKind.TICKET_OPEN
     # Zero-copy column views: the typed TicketLog properties copy the
     # whole column per access, which a per-block gather path cannot
-    # afford.  float64 is forced for the time math so sort keys match
-    # the legacy flatten bit for bit.
+    # afford.  float64 is forced for the time math so sort keys are
+    # exact.
     start = np.asarray(
         log.column_view(TICKET_LOG.start_hour_abs), dtype=np.float64,
     )
@@ -483,9 +479,8 @@ def _ticket_source(log: "TicketLog", close: bool) -> _Source:
     )
     event_time = start + repair if close else start
     # Stable sort by event time: positions are log ordinals, so ties
-    # break by ordinal — exactly the legacy generator/heap order.  Only
-    # the permutation is retained; sorted times are regathered per
-    # merge window from the log's own columns.
+    # break by ordinal.  Only the permutation is retained; sorted times
+    # are regathered per merge window from the log's own columns.
     order = _compact_order(np.argsort(event_time, kind="stable"))
     del event_time
     columns = {
@@ -573,11 +568,11 @@ def _merge_sources(
     every record with time <= cut (in any source) sits inside some
     offered slice.  Records up to the cut are concatenated in
     kind-rank order and stable-sorted on time alone — equal times fall
-    back to rank then per-source canonical order, the legacy heap
-    merge's exact tie-break.  A tie run that straddles an offered
-    slice is pulled in whole, so equal-time records never split across
-    windows.  Peak memory is O(window + block_size), independent of
-    the stream length.
+    back to rank then per-source canonical order, the tie-break the
+    heap-merge oracle in ``tests/stream_oracle.py`` pins.  A tie run
+    that straddles an offered slice is pulled in whole, so equal-time
+    records never split across windows.  Peak memory is
+    O(window + block_size), independent of the stream length.
     """
     sources = sorted(sources, key=lambda source: source.code)
     total = sum(source.n for source in sources)
@@ -724,6 +719,29 @@ def _load_directory(
     return stream_inventory, fleet
 
 
+def directory_inventory(
+    in_dir: str | pathlib.Path, config: "SimulationConfig",
+) -> StreamInventory:
+    """The :class:`StreamInventory` of an exported run/field directory.
+
+    The fleet is rebuilt deterministically from ``config`` and checked
+    against ``inventory.csv`` (same contract as
+    :func:`repro.fielddata.ingest.load_field_dataset`); censoring dates
+    are honored when the export carries them.
+    """
+    return _load_directory(pathlib.Path(in_dir), config)[0]
+
+
+def _load_sensors(
+    in_dir: pathlib.Path,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    bundle_path = in_dir / "sensors.npz"
+    if not bundle_path.exists():
+        return None, None
+    with np.load(bundle_path) as bundle:
+        return bundle["temp_f"], bundle["rh"]
+
+
 def blocks_from_directory(
     in_dir: str | pathlib.Path,
     config: "SimulationConfig",
@@ -733,63 +751,129 @@ def blocks_from_directory(
 ) -> Iterator[EventBlock]:
     """Flatten an exported directory (``repro simulate``/``corrupt``).
 
-    Same contract as :func:`repro.stream.events.flatten_directory`, block
-    form: ``tickets.csv`` and ``inventory.csv`` are required, the
-    ``sensors.npz`` bundle optional.
+    ``tickets.csv`` and ``inventory.csv`` are required; the
+    ``sensors.npz`` bundle is optional (plain ``simulate`` exports do
+    not carry one — sensor-sample events are simply absent then).
     """
     from ..fielddata.ingest import load_tickets_csv
 
     in_dir = pathlib.Path(in_dir)
     inventory, fleet = _load_directory(in_dir, config)
-    tickets = load_tickets_csv(in_dir / "tickets.csv", fleet)
-    temp_f = rh = None
-    bundle_path = in_dir / "sensors.npz"
-    if bundle_path.exists():
-        with np.load(bundle_path) as bundle:
-            temp_f = bundle["temp_f"]
-            rh = bundle["rh"]
+    temp_f, rh = _load_sensors(in_dir)
     return blocks_from_parts(
-        inventory, tickets, temp_f=temp_f, rh=rh, kinds=kinds, skip=skip,
-        block_size=block_size,
+        inventory, load_tickets_csv(in_dir / "tickets.csv", fleet),
+        temp_f=temp_f, rh=rh, kinds=kinds, skip=skip, block_size=block_size,
     )
 
 
-class BlockStream:
-    """An iterator of :class:`EventBlock` with spill conveniences.
+def _check_appended(
+    tickets: "TicketLog", first_new: int, released: float,
+    path: pathlib.Path,
+) -> None:
+    """Refuse appended rows that could sort ahead of released records."""
+    start = np.asarray(
+        tickets.column_view(TICKET_LOG.start_hour_abs), dtype=np.float64,
+    )
+    repair = np.asarray(
+        tickets.column_view(TICKET_LOG.repair_hours), dtype=np.float64,
+    )
+    begin = max(first_new - 1, 0)
+    backwards = np.nonzero(np.diff(start[begin:]) < 0)[0]
+    if len(backwards):
+        row = begin + int(backwards[0]) + 1
+        raise DataError(
+            f"{path}: row {row + 2}: tickets must be appended in "
+            "start-time order for --follow"
+        )
+    early = np.nonzero(start[first_new:] + repair[first_new:] < released)[0]
+    if len(early):
+        row = first_new + int(early[0])
+        raise DataError(
+            f"{path}: row {row + 2}: ticket closes before events already "
+            "streamed"
+        )
 
-    Thin: construction does no work beyond what the underlying block
-    generator does lazily.  ``spill`` drains the stream into one
-    memory-mapped segment for repeated passes.
+
+def follow_directory(
+    in_dir: str | pathlib.Path,
+    config: "SimulationConfig",
+    poll_interval: float = 1.0,
+    max_idle_polls: int = 3,
+    sleep=None,
+    skip: int = 0,
+) -> Iterator[EventBlock]:
+    """Stream a *growing* export directory as the one-shot stream.
+
+    Each poll that finds ``tickets.csv`` grown re-runs the one-shot
+    flatten over the rows present and releases the records ordered
+    before ``(last row's start_hour_abs, ticket-open rank)``.  The
+    producer must append rows in non-decreasing ``start_hour_abs``
+    order (the exporters' canonical order; anything else raises
+    :class:`~repro.errors.DataError`), so no later row can sort ahead
+    of a released record.  After ``max_idle_polls`` consecutive polls
+    with no growth the rest of the stream is drained.  The yielded
+    blocks therefore carry exactly the records and ``seq`` numbers of
+    :func:`blocks_from_directory` with the same ``skip`` — inventory
+    changes and sensor samples included.
+
+    ``sleep`` is injectable for tests (defaults to :func:`time.sleep`).
     """
+    import time
 
-    def __init__(self, blocks: Iterable[EventBlock]):
-        self._blocks = iter(blocks)
+    from ..fielddata.ingest import load_tickets_csv
 
-    def __iter__(self) -> Iterator[EventBlock]:
-        return self._blocks
+    if max_idle_polls < 1:
+        raise DataError(f"max_idle_polls must be >= 1, got {max_idle_polls}")
+    if sleep is None:
+        sleep = time.sleep
+    in_dir = pathlib.Path(in_dir)
+    inventory, fleet = _load_directory(in_dir, config)
+    temp_f, rh = _load_sensors(in_dir)
+    tickets_path = in_dir / "tickets.csv"
+    open_rank = KIND_RANK[EventKind.TICKET_OPEN]
+    tickets: "TicketLog | None" = None
+    released = float("-inf")
+    emitted = skip
+    idle_polls = 0
 
-    @classmethod
-    def from_parts(cls, *args, **kwargs) -> "BlockStream":
-        return cls(blocks_from_parts(*args, **kwargs))
+    def flatten(log: "TicketLog") -> Iterator[EventBlock]:
+        return blocks_from_parts(
+            inventory, log, temp_f=temp_f, rh=rh, skip=emitted,
+        )
 
-    @classmethod
-    def from_result(cls, *args, **kwargs) -> "BlockStream":
-        return cls(blocks_from_result(*args, **kwargs))
-
-    @classmethod
-    def from_field_dataset(cls, *args, **kwargs) -> "BlockStream":
-        return cls(blocks_from_field_dataset(*args, **kwargs))
-
-    @classmethod
-    def from_directory(cls, *args, **kwargs) -> "BlockStream":
-        return cls(blocks_from_directory(*args, **kwargs))
-
-    def spill(self, path: str | pathlib.Path,
-              block_size: int = DEFAULT_BLOCK_SIZE) -> "BlockSegment":
-        """Drain into a segment file; returns it re-opened memory-mapped."""
-        segment = BlockSegment.from_blocks(self, block_size=block_size)
-        segment.save(path)
-        return BlockSegment.load(path)
+    while True:
+        seen = 0 if tickets is None else len(tickets)
+        grown = None
+        if tickets_path.exists():
+            grown = load_tickets_csv(tickets_path, fleet)
+        if grown is None or len(grown) <= seen:
+            idle_polls += 1
+            if idle_polls >= max_idle_polls:
+                break
+        else:
+            idle_polls = 0
+            _check_appended(grown, seen, released, tickets_path)
+            tickets = grown
+            released = float(
+                tickets.column_view(TICKET_LOG.start_hour_abs)[-1]
+            )
+            for block in flatten(tickets):
+                time_hours = block.time_hours
+                final = (time_hours < released) | (
+                    (time_hours == released) & (block.kind_code < open_rank)
+                )
+                keep = len(block) if final.all() else int(np.argmin(final))
+                if keep:
+                    yield block.slice(0, keep)
+                    emitted += keep
+                if keep < len(block):
+                    break
+        sleep(poll_interval)
+    if tickets is None:
+        # Never saw a row: the one-shot engine reports the missing or
+        # empty file exactly as a one-shot run would.
+        tickets = load_tickets_csv(tickets_path, fleet)
+    yield from flatten(tickets)
 
 
 class BlockSegment:
@@ -925,7 +1009,7 @@ def segmented_scan(
     element *i − shift* whenever both sit in the same group.  Exact for
     any associative ``op`` (``np.maximum``, ``np.minimum``, integer
     ``np.add``) — no floating-point re-bracketing tricks, which is what
-    keeps the vectorized μ merge bit-identical to the scalar greedy one.
+    keeps the vectorized μ merge bit-identical to the batch sort-and-merge.
     """
     n = len(values)
     out = values.copy()

@@ -10,9 +10,9 @@ The contract: save at any stream position *k*, reload against the same
 inventory, feed the stream suffix (``skip=k`` on any flattener), and
 every downstream artifact — λ/μ matrices, summaries, alerts, their
 order and timestamps — is bit-identical to a single uninterrupted pass.
-The analyzer enforces the seam itself (it refuses events whose ``seq``
-does not match its position), and the fingerprint check refuses resumes
-against a different fleet.
+The analyzer enforces the seam itself (it refuses a block whose
+``start_seq`` does not match its position), and the fingerprint check
+refuses resumes against a different fleet.
 
 Attached extra monitors (e.g. a
 :class:`~repro.predict.monitor.PredictiveMonitor`) checkpoint too:
@@ -36,8 +36,8 @@ from ..decisions.availability import AvailabilitySla
 from ..errors import DataError
 from ..telemetry.schema import TICKET_LOG
 from .analyzer import StreamAnalyzer
+from .blocks import StreamInventory
 from .estimators import StreamingLambda, StreamingMu
-from .events import StreamInventory
 from .triggers import Alert, AlertKind, RateDriftDetector, SlaRiskMonitor
 
 #: Bump on any incompatible change to the bundle layout.

@@ -1,8 +1,9 @@
-"""Incremental estimators: batch-identical λ and μ, one event at a time.
+"""Incremental estimators: batch-identical λ and μ, one block at a time.
 
-Each estimator consumes :class:`~repro.stream.events.Event` objects in
-stream order and maintains O(1)-amortized-per-event state from which the
-batch matrices can be read back **bit-identically**:
+Each estimator folds :class:`~repro.stream.blocks.EventBlock` chunks in
+stream order (``update_block``) and maintains O(1)-amortized-per-event
+state from which the batch matrices can be read back
+**bit-identically**, however the stream is cut into blocks:
 
 * :class:`StreamingLambda` reproduces
   :func:`repro.telemetry.aggregate.lambda_matrix` — including the batch
@@ -29,12 +30,7 @@ import numpy as np
 from ..errors import DataError
 from ..failures.tickets import FAULT_CODE, FAULT_TYPES, HARDWARE_FAULTS, FaultType
 from ..telemetry.windows import n_windows
-from .blocks import KIND_RANK, EventBlock, group_start_flags, segmented_scan
-from .events import Event, EventKind
-
-_NO_WINNER = -1
-
-_OPEN_CODE = KIND_RANK[EventKind.TICKET_OPEN]
+from .blocks import EventBlock, group_start_flags, segmented_scan
 
 
 def _open_ticket_columns(block: EventBlock) -> dict[str, np.ndarray] | None:
@@ -86,40 +82,6 @@ class StreamingLambda:
         self._winner: dict[int, list[int]] = {}
         self.events_counted = 0
 
-    def _passes(self, event: Event) -> bool:
-        if self.true_positives_only and event.false_positive:
-            return False
-        if self._codes is not None and event.fault_code not in self._codes:
-            return False
-        return True
-
-    def _count(self, rack: int, day: int, delta: int) -> None:
-        if not 0 <= day < self.n_days:
-            raise DataError(f"day_index outside [0, {self.n_days})")
-        if not 0 <= rack < self.n_racks:
-            raise DataError(f"group_index outside [0, {self.n_racks})")
-        self._counts[rack, day] += delta
-        self.events_counted += delta
-
-    def update(self, event: Event) -> None:
-        """Fold one event into the counts (non-ticket kinds ignored)."""
-        if event.kind is not EventKind.TICKET_OPEN:
-            return
-        if self.dedupe_batches and event.batch_id >= 0:
-            passes = int(self._passes(event))
-            row = [event.ticket_ordinal, event.rack_index, event.day_index, passes]
-            current = self._winner.get(event.batch_id)
-            if current is not None and current[0] <= event.ticket_ordinal:
-                return
-            if current is not None and current[3]:
-                self._count(current[1], current[2], -1)
-            self._winner[event.batch_id] = row
-            if passes:
-                self._count(event.rack_index, event.day_index, +1)
-            return
-        if self._passes(event):
-            self._count(event.rack_index, event.day_index, +1)
-
     def _passes_mask(self, columns: dict[str, np.ndarray]) -> np.ndarray:
         passes = np.ones(len(columns["rack"]), dtype=bool)
         if self.true_positives_only:
@@ -141,12 +103,11 @@ class StreamingLambda:
     def update_block(self, block: EventBlock) -> None:
         """Fold a whole block into the counts, vectorized.
 
-        Bit-identical final state to calling :meth:`update` on each of
-        the block's events in order (non-open kinds are skipped by
-        construction).  On out-of-range data the same
-        :class:`~repro.errors.DataError` is raised, though intermediate
-        state and the choice among multiple bad rows may differ from
-        the scalar path — errors are terminal either way.
+        The final state does not depend on how the stream is cut into
+        blocks (non-open kinds are skipped by construction).  Out-of-range
+        data raises :class:`~repro.errors.DataError`; which of several
+        bad rows is named, and the state left behind, may depend on the
+        blocking — errors are terminal either way.
         """
         columns = _open_ticket_columns(block)
         if columns is None:
@@ -162,9 +123,8 @@ class StreamingLambda:
         rows = np.nonzero(batched)[0]
         if not len(rows):
             return
-        # Batch dedupe is a running argmin over log ordinals: the loop
-        # below is the scalar rule verbatim, but over plain ints (no
-        # Event objects) and with count deltas deferred to two add.at
+        # Batch dedupe is a running argmin over log ordinals, walked
+        # over plain ints with count deltas deferred to two add.at
         # calls.  Bounded by the block's batch rows, not the stream.
         winner = self._winner
         inc: list[tuple[int, int]] = []
@@ -308,53 +268,6 @@ class StreamingMu:
         diff[rack, first] += 1
         diff[rack, last + 1] -= 1
 
-    def update(self, event: Event) -> None:
-        """Fold one event into the μ state (non-open kinds ignored)."""
-        if event.kind is not EventKind.TICKET_OPEN:
-            return
-        if event.false_positive:
-            return
-        if self._codes is not None and event.fault_code not in self._codes:
-            return
-        if event.repair_hours < 0:
-            raise DataError("interval end before start")
-        start = event.time_hours
-        end = start + event.repair_hours
-        if not self.per_server:
-            if not 0 <= event.rack_index < self.n_racks:
-                raise DataError(f"group_index outside [0, {self.n_racks})")
-            self._add_interval(self._diff, event.rack_index, start, end)
-            return
-        if not 0 <= event.rack_index < self.n_racks:
-            raise DataError(f"group_index outside [0, {self.n_racks})")
-        gid = int(self.server_base[event.rack_index]) + event.server_offset
-        if 0 <= gid < self._gid_span:
-            open_end = self._open_end[gid]
-            if not math.isnan(open_end) and start <= open_end:
-                # The stream is start-ordered per server, so greedy
-                # extension reproduces the batch sort-and-merge exactly.
-                if end > open_end:
-                    self._open_end[gid] = end
-                return
-            if not math.isnan(open_end):
-                self._add_interval(
-                    self._diff, self._rack_of_gid(gid),
-                    float(self._open_start[gid]), float(open_end),
-                )
-            self._open_start[gid] = start
-            self._open_end[gid] = end
-            return
-        current = self._overflow.get(gid)
-        if current is not None and start <= current[1]:
-            if end > current[1]:
-                current[1] = end
-            return
-        if current is not None:
-            self._add_interval(
-                self._diff, self._rack_of_gid(gid), current[0], current[1],
-            )
-        self._overflow[gid] = [start, end]
-
     def _add_intervals(
         self, diff: np.ndarray, racks: np.ndarray,
         starts: np.ndarray, ends: np.ndarray,
@@ -374,8 +287,9 @@ class StreamingMu:
     def update_block(self, block: EventBlock) -> None:
         """Fold a whole block into the μ state, vectorized.
 
-        Bit-identical final state to per-event :meth:`update` calls:
-        within each server, block rows arrive start-ordered, so a row
+        The final state does not depend on the blocking (and equals
+        the batch μ, see the class docstring): within each server,
+        block rows arrive start-ordered, so a row
         opens a new merged interval exactly when its start exceeds the
         running maximum of all earlier ends for that server (carried
         open intervals included) — a segmented prefix-max, not a dict
@@ -575,22 +489,6 @@ class StreamingGroupCounts:
         self._current_day = 0
         self._seen_batches: set[int] = set()
 
-    def update(self, event: Event) -> None:
-        """Fold one event into the group counters."""
-        if event.kind is not EventKind.TICKET_OPEN or event.false_positive:
-            return
-        if event.batch_id >= 0:
-            if event.batch_id in self._seen_batches:
-                return
-            self._seen_batches.add(event.batch_id)
-        if not 0 <= event.rack_index < len(self.group_code):
-            return
-        day = max(int(event.time_hours // 24.0), 0)
-        self._advance(day)
-        group = int(self.group_code[event.rack_index])
-        self.totals[group] += 1
-        self._ring[group, day % self.trailing_days] += 1
-
     def _advance(self, day: int) -> None:
         if day <= self._current_day:
             return
@@ -602,12 +500,13 @@ class StreamingGroupCounts:
     def update_block(self, block: EventBlock) -> None:
         """Fold a whole block into the counters, vectorized.
 
-        Bit-identical final state to per-event :meth:`update` calls.
-        Batch dedupe keeps the first in-stream row of each unseen batch
-        (and marks the batch seen even when that row's rack is out of
-        range, exactly as the scalar path does); arrival days are
+        The final state does not depend on the blocking; the
+        one-event-at-a-time rule it vectorizes is the reference kept in
+        ``tests/stream_oracle.py``.  Batch dedupe keeps the first
+        in-stream row of each unseen batch (and marks the batch seen
+        even when that row's rack is out of range); arrival days are
         non-decreasing in stream order, so the ring advances once per
-        distinct day instead of once per event.
+        block instead of once per event.
         """
         columns = _open_ticket_columns(block)
         if columns is None:
@@ -635,11 +534,11 @@ class StreamingGroupCounts:
         )
         group = self.group_code[rack[keep]]
         np.add.at(self.totals, group, 1)
-        # One advance straight to the block's last day: the scalar
-        # path's interleaved advances erase exactly the counts whose
-        # day has since left the trailing window, so zeroing the
-        # skipped slots first and then adding only the still-in-window
-        # rows lands on the identical ring state.
+        # One advance straight to the block's last day: per-event
+        # advances would erase exactly the counts whose day has since
+        # left the trailing window, so zeroing the skipped slots first
+        # and then adding only the still-in-window rows lands on the
+        # identical ring state.
         final = int(day[-1])  # stream order => non-decreasing days
         self._advance(final)
         recent = day > final - self.trailing_days

@@ -23,9 +23,8 @@ from ..decisions.availability import AvailabilitySla
 from ..reporting.context import AnalysisContext
 from ..telemetry.aggregate import lambda_matrix, mu_matrix
 from .analyzer import StreamAnalyzer
-from .blocks import blocks_from_result
+from .blocks import EventKind, StreamInventory, blocks_from_result
 from .checkpoint import load_checkpoint, save_checkpoint
-from .events import EventKind, StreamInventory
 from .triggers import calibrated_spare_fraction
 
 #: Pipeline stage dependencies of the registered ``streaming``

@@ -36,9 +36,15 @@ import numpy as np
 from ..decisions.availability import AvailabilitySla, uniform_fraction_for_pool
 from ..errors import DataError
 from ..failures.tickets import HARDWARE_FAULTS
-from .blocks import KIND_RANK, EventBlock, group_start_flags, segmented_scan
+from .blocks import (
+    KIND_RANK,
+    EventBlock,
+    EventKind,
+    StreamInventory,
+    group_start_flags,
+    segmented_scan,
+)
 from .estimators import _fault_codes
-from .events import Event, EventKind, StreamInventory
 
 _OPEN_CODE = KIND_RANK[EventKind.TICKET_OPEN]
 _CLOSE_CODE = KIND_RANK[EventKind.TICKET_CLOSE]
@@ -162,81 +168,20 @@ class SlaRiskMonitor:
         capacity = self.inventory.n_servers.astype(float)
         self.allowed = fraction * capacity + self.sla.shortfall * capacity
 
-    def _tracks(self, event: Event) -> bool:
-        if event.false_positive:
-            return False
-        if self._codes is not None and event.fault_code not in self._codes:
-            return False
-        return 0 <= event.rack_index < self.inventory.n_racks
-
-    def update(self, event: Event) -> list[Alert]:
-        """Fold one event into the gauge; returns any new alerts."""
-        if event.kind is EventKind.TICKET_OPEN and self._tracks(event):
-            gid = (
-                int(self.inventory.server_base[event.rack_index])
-                + event.server_offset
-            )
-            count = self._active.get(gid, 0)
-            self._active[gid] = count + 1
-            if count == 0:
-                self.down[event.rack_index] += 1
-            return self._check(event.rack_index, event.time_hours)
-        if event.kind is EventKind.TICKET_CLOSE and self._tracks(event):
-            gid = (
-                int(self.inventory.server_base[event.rack_index])
-                + event.server_offset
-            )
-            count = self._active.get(gid, 0)
-            if count <= 1:
-                self._active.pop(gid, None)
-                if count == 1:
-                    self.down[event.rack_index] -= 1
-            else:
-                self._active[gid] = count - 1
-            return self._check(event.rack_index, event.time_hours)
-        return []
-
     #: Breach comparisons tolerate float fuzz in ``fraction * capacity``
     #: (e.g. ``(1 - 0.9) * 10`` lands an epsilon under 1.0): a rack is
     #: only in breach when it is down by materially more than allowed.
     _EPSILON = 1e-9
 
-    def _check(self, rack: int, time_hours: float) -> list[Alert]:
-        capacity = int(self.inventory.n_servers[rack])
-        down = min(int(self.down[rack]), capacity)
-        if down > self.allowed[rack] + self._EPSILON * max(capacity, 1):
-            if self.breached[rack]:
-                return []
-            self.breached[rack] = True
-            self.alerts_emitted += 1
-            return [Alert(
-                kind=AlertKind.SLA_RISK,
-                time_hours=time_hours,
-                rack_index=rack,
-                value=float(down),
-                threshold=float(self.allowed[rack]),
-                message=(
-                    f"rack {self.inventory.rack_ids[rack]}: {down} servers "
-                    f"down exceeds spares + shortfall "
-                    f"({self.allowed[rack]:.2f}) at SLA "
-                    f"{self.sla.percent_label}"
-                ),
-            )]
-        self.breached[rack] = False
-        return []
-
-    def update_block(self, block: EventBlock) -> list[Alert]:
-        """Fold a whole block into the gauge; returns new alerts in order."""
-        return [alert for _, alert in self._update_block_indexed(block)]
-
-    def _update_block_indexed(
+    def update_block(
         self, block: EventBlock,
     ) -> list[tuple[int, Alert]]:
-        """Block update returning ``(block row, alert)`` pairs.
+        """Fold a whole block in; returns new ``(block row, alert)`` pairs.
 
-        Bit-identical final state and alert sequence to per-event
-        :meth:`update` calls.  The per-server ticket count is clamped
-        at zero on closes, so its trajectory is the Skorokhod
+        Final state and alert sequence do not depend on the blocking,
+        and match the one-event-at-a-time reference kept in
+        ``tests/stream_oracle.py``.  The per-server ticket count is
+        clamped at zero on closes, so its trajectory is the Skorokhod
         reflection of the ±1 delta walk — a pair of segmented scans
         (sum, then running min) instead of a dict walk; per-rack down
         gauges and breach edges fall out of one more segmented sum in
@@ -433,44 +378,22 @@ class RateDriftDetector:
         self._seen_batches: set[int] = set()
         self.alerts_emitted = 0
 
-    def _counts(self, event: Event) -> bool:
-        if event.kind is not EventKind.TICKET_OPEN or event.false_positive:
-            return False
-        if event.batch_id >= 0:
-            if event.batch_id in self._seen_batches:
-                return False
-            self._seen_batches.add(event.batch_id)
-        return True
-
-    def update(self, event: Event) -> list[Alert]:
-        """Fold one event in; returns alerts for any days it completes."""
-        alerts: list[Alert] = []
-        if event.kind is EventKind.TICKET_OPEN:
-            day = int(event.time_hours // 24.0)
-            if day > self._current_day:
-                alerts = self._roll_to(day, event.time_hours)
-            if self._counts(event) and 0 <= day < self.n_days:
-                self.day_counts[day] += 1
-        return alerts
-
-    def update_block(self, block: EventBlock) -> list[Alert]:
-        """Fold a whole block in; returns alerts for completed days."""
-        return [alert for _, alert in self._update_block_indexed(block)]
-
-    def _update_block_indexed(
+    def update_block(
         self, block: EventBlock,
     ) -> list[tuple[int, Alert]]:
-        """Block update returning ``(block row, alert)`` pairs.
+        """Fold a whole block in; returns ``(block row, alert)`` pairs
+        for the days it completes.
 
-        Bit-identical to per-event :meth:`update` calls.  Arrival days
+        Final state and alert sequence do not depend on the blocking,
+        and match the one-event-at-a-time reference kept in
+        ``tests/stream_oracle.py``.  Arrival days
         are non-decreasing in stream order, so the block's counts can
         all land in ``day_counts`` up front (an evaluation of
         completed day *c* only reads windows ending at *c*, and every
         row with day ≤ *c* precedes the run whose arrival triggers
         that evaluation), and the whole block's completed days are
         then evaluated in one vectorized pass.  Each alert is anchored
-        — like the scalar path — to the first open event of the run
-        that rolled past its day.
+        to the first open event of the run that rolled past its day.
         """
         columns = block.open_ticket_columns()
         if columns is None:
@@ -550,7 +473,7 @@ class RateDriftDetector:
         *starts* (honoring the hysteresis state machine carried in
         ``_in_drift``) — or ``None`` when no day is evaluable.  Days
         whose baseline window would reach before the trace leave the
-        state machine untouched, exactly like the scalar path did.
+        state machine untouched.
         The means come from one cumulative sum; counts are integers,
         so the float64 arithmetic is exact and matches ``.mean()``
         bit for bit.

@@ -34,8 +34,11 @@ from repro.autonomics import (
 from repro.config import SimulationConfig
 from repro.errors import ConfigError, DataError
 from repro.failures.engine import SimulationSession, simulate
-from repro.stream.blocks import EVENT_DTYPE, blocks_from_result
-from repro.stream.events import StreamInventory
+from repro.stream.blocks import (
+    EVENT_DTYPE,
+    StreamInventory,
+    blocks_from_result,
+)
 from repro.stream.triggers import Alert, AlertKind
 
 

@@ -17,8 +17,9 @@ from repro.predict.features import (
     load_feature_state,
     save_feature_state,
 )
-from repro.stream import StreamInventory, blocks_from_result, flatten_result
+from repro.stream import StreamInventory, blocks_from_result
 from repro.telemetry.schema import FeatureKind
+from stream_oracle import ReferenceFeatures, block_events
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +38,8 @@ def _assert_state_equal(a: StreamingFeatures, b: StreamingFeatures) -> None:
 
 class TestParity:
     def test_scalar_and_block_paths_bit_identical(self, tiny_run, inventory):
-        scalar = StreamingFeatures(inventory)
-        for event in flatten_result(tiny_run):
+        scalar = ReferenceFeatures(inventory)
+        for event in block_events(blocks_from_result(tiny_run)):
             scalar.update(event)
         blocked = StreamingFeatures(inventory)
         for block in blocks_from_result(tiny_run):
@@ -56,8 +57,8 @@ class TestParity:
 
     def test_snapshots_agree_across_paths(self, tiny_run, inventory):
         day = inventory.n_days - 1
-        scalar = StreamingFeatures(inventory)
-        for event in flatten_result(tiny_run):
+        scalar = ReferenceFeatures(inventory)
+        for event in block_events(blocks_from_result(tiny_run)):
             scalar.update(event)
         blocked = StreamingFeatures(inventory)
         for block in blocks_from_result(tiny_run):

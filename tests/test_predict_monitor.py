@@ -12,10 +12,10 @@ from repro.stream import (
     StreamAnalyzer,
     StreamInventory,
     blocks_from_result,
-    flatten_result,
     load_checkpoint,
     save_checkpoint,
 )
+from stream_oracle import ReferencePredictiveMonitor, block_events
 
 THRESHOLD = 0.7
 
@@ -32,10 +32,14 @@ def model(tiny_run):
     return fitted
 
 
+def _alerts(monitor, block) -> list:
+    return [alert for _, alert in monitor.update_block(block)]
+
+
 def _run_blocks(tiny_run, monitor) -> list:
     alerts = []
     for block in blocks_from_result(tiny_run):
-        alerts.extend(monitor.update_block(block))
+        alerts.extend(_alerts(monitor, block))
     alerts.extend(monitor.finish())
     return alerts
 
@@ -56,9 +60,10 @@ class TestMonitor:
         blocked = PredictiveMonitor(inventory, model, threshold=THRESHOLD)
         block_alerts = _run_blocks(tiny_run, blocked)
 
-        scalar = PredictiveMonitor(inventory, model, threshold=THRESHOLD)
+        scalar = ReferencePredictiveMonitor(inventory, model,
+                                            threshold=THRESHOLD)
         scalar_alerts = []
-        for event in flatten_result(tiny_run):
+        for event in block_events(blocks_from_result(tiny_run)):
             scalar_alerts.extend(scalar.update(event))
         scalar_alerts.extend(scalar.finish())
         assert scalar_alerts == block_alerts
@@ -80,7 +85,7 @@ class TestMonitor:
         half = len(blocks) // 2 or 1
         tail_expected = []
         for i, block in enumerate(blocks):
-            alerts = continuous.update_block(block)
+            alerts = _alerts(continuous, block)
             if i >= half:
                 tail_expected.extend(alerts)
         tail_expected.extend(continuous.finish())
@@ -93,7 +98,7 @@ class TestMonitor:
         )
         tail = []
         for block in blocks[half:]:
-            tail.extend(resumed.update_block(block))
+            tail.extend(_alerts(resumed, block))
         tail.extend(resumed.finish())
         assert tail == tail_expected
         np.testing.assert_array_equal(resumed._flagged, continuous._flagged)
@@ -113,19 +118,21 @@ class TestAnalyzerIntegration:
 
     def test_scalar_and_block_analyzers_agree(self, tiny_run, inventory,
                                               model):
-        blocked = StreamAnalyzer(inventory)
-        blocked.attach_monitor(
-            PredictiveMonitor(inventory, model, threshold=THRESHOLD))
-        for block in blocks_from_result(tiny_run):
-            blocked.process_block(block)
-        blocked.finish()
+        """One-record blocks (event-at-a-time order) and default blocks
+        raise the same alerts, predictive ones included."""
+        def run(**kwargs):
+            analyzer = StreamAnalyzer(inventory)
+            analyzer.attach_monitor(
+                PredictiveMonitor(inventory, model, threshold=THRESHOLD))
+            for block in blocks_from_result(tiny_run, **kwargs):
+                analyzer.process_block(block)
+            analyzer.finish()
+            return analyzer
 
-        scalar = StreamAnalyzer(inventory)
-        scalar.attach_monitor(
-            PredictiveMonitor(inventory, model, threshold=THRESHOLD))
-        for event in flatten_result(tiny_run):
-            scalar.process(event)
-        scalar.finish()
+        blocked = run()
+        scalar = run(block_size=1)
+        assert any(alert.kind is AlertKind.PREDICTED_FAILURE
+                   for alert in blocked.alerts)
         assert scalar.alerts == blocked.alerts
 
     def test_attach_after_feeding_rejected(self, tiny_run, inventory, model):

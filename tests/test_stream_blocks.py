@@ -3,14 +3,15 @@
 Two layers of bit-identity, exercised over deliberately nasty
 randomized ticket logs, at chunk sizes down to one event per block:
 
-1. the :class:`~repro.stream.events.Event` view over
-   :func:`~repro.stream.blocks.blocks_from_parts` must match the
-   original generator-based merge (``flatten_parts_merged``)
-   element for element — across kind filters, skip offsets and chunk
-   boundaries;
-2. every consumer's vectorized ``update_block`` must leave it in
-   exactly the state that per-event ``update``/``process`` calls
-   would — matrices, counters, alert sequences, checkpoint bundles.
+1. :func:`~repro.stream.blocks.blocks_from_parts` must match the
+   generator-based heap merge kept as the order oracle in
+   ``stream_oracle.flatten_parts_merged``, record for record — across
+   kind filters, skip offsets and chunk boundaries;
+2. every consumer's vectorized ``update_block`` must land on the same
+   state under any blocking: λ and μ equal the batch matrices, and the
+   consumers without a batch counterpart equal their per-event
+   references in ``stream_oracle`` — counters, alert sequences,
+   checkpoint bundles.
 
 Plus the spill format (``BlockSegment`` save/load/mmap roundtrip), the
 interning pool, the pipeline ``blocks`` codec, the block-fed rack-day
@@ -28,7 +29,6 @@ from repro.failures.tickets import FAULT_TYPES, HARDWARE_FAULTS, TicketLog
 from repro.fielddata import FieldDataset
 from repro.stream import (
     BlockSegment,
-    BlockStream,
     EventKind,
     StreamAnalyzer,
     StreamInventory,
@@ -38,15 +38,24 @@ from repro.stream import (
     StringPool,
     blocks_from_parts,
     blocks_from_result,
-    flatten_parts,
-    flatten_parts_merged,
     load_checkpoint,
     rack_day_table_from_blocks,
     save_checkpoint,
 )
 from repro.stream.triggers import RateDriftDetector, SlaRiskMonitor
-from repro.telemetry.aggregate import build_rack_day_table
+from repro.telemetry.aggregate import (
+    build_rack_day_table,
+    lambda_matrix,
+    mu_matrix,
+)
 from repro.telemetry.io import iter_csv_rows
+from stream_oracle import (
+    ReferenceDriftDetector,
+    ReferenceGroupCounts,
+    ReferenceSlaRiskMonitor,
+    block_events,
+    flatten_parts_merged,
+)
 
 BLOCK_SIZES = (1, 7, 64, 8192)
 
@@ -110,14 +119,16 @@ def _parts(result):
 
 
 class TestEventViewEquivalence:
-    """Blocks → Event view ≡ the original generator merge."""
+    """Blocks ≡ the heap-merge order oracle, record for record."""
 
     def test_identical_across_block_sizes(self, randomized_results):
         for result in randomized_results:
             parts = _parts(result)
             reference = list(flatten_parts_merged(**parts))
             for block_size in BLOCK_SIZES:
-                view = list(flatten_parts(**parts, block_size=block_size))
+                view = block_events(blocks_from_parts(
+                    **parts, block_size=block_size,
+                ))
                 assert view == reference
 
     def test_identical_under_kind_filters(self, randomized_results):
@@ -130,7 +141,8 @@ class TestEventViewEquivalence:
             {EventKind.INVENTORY_CHANGE, EventKind.SENSOR_SAMPLE},
         ):
             reference = list(flatten_parts_merged(**parts, kinds=kinds))
-            view = list(flatten_parts(**parts, kinds=kinds, block_size=7))
+            view = block_events(blocks_from_parts(**parts, kinds=kinds,
+                                                  block_size=7))
             assert view == reference
 
     def test_identical_at_every_skip_class(self, randomized_results):
@@ -140,7 +152,8 @@ class TestEventViewEquivalence:
         reference = list(flatten_parts_merged(**parts))
         total = len(reference)
         for skip in (0, 1, 63, 64, 65, total // 2, total - 1, total):
-            view = list(flatten_parts(**parts, skip=skip, block_size=64))
+            view = block_events(blocks_from_parts(**parts, skip=skip,
+                                                  block_size=64))
             assert view == reference[skip:]
 
     def test_blocks_carry_absolute_seq(self, randomized_results):
@@ -157,16 +170,14 @@ class TestEventViewEquivalence:
 
     def test_flatten_result_matches_reference(self, tiny_run):
         reference = list(flatten_parts_merged(**_parts(tiny_run)))
-        from repro.stream import flatten_result
-
-        assert list(flatten_result(tiny_run)) == reference
+        assert block_events(blocks_from_result(tiny_run)) == reference
 
 
 class TestUpdateBlockEquivalence:
-    """update_block(block) ≡ update(event) × len(block), bit for bit."""
+    """update_block under any blocking ≡ the batch path, or (for the
+    consumers without one) ≡ the per-event oracle, bit for bit."""
 
-    def _open_events(self, result, block_size):
-        kinds = {EventKind.TICKET_OPEN}
+    def _events_and_blocks(self, result, block_size, kinds=(EventKind.TICKET_OPEN,)):
         events = list(flatten_parts_merged(**_parts(result), kinds=kinds))
         blocks = list(blocks_from_parts(**_parts(result), kinds=kinds,
                                         block_size=block_size))
@@ -175,38 +186,33 @@ class TestUpdateBlockEquivalence:
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     def test_streaming_lambda(self, randomized_results, block_size):
         for result in randomized_results:
-            events, blocks = self._open_events(result, block_size)
-            scalar = StreamingLambda(result.fleet.n_racks, result.n_days)
-            for event in events:
-                scalar.update(event)
             columnar = StreamingLambda(result.fleet.n_racks, result.n_days)
-            for block in blocks:
+            for block in blocks_from_parts(**_parts(result),
+                                           block_size=block_size):
                 columnar.update_block(block)
-            assert np.array_equal(scalar.matrix(), columnar.matrix())
-            assert scalar.events_counted == columnar.events_counted
+            expected = lambda_matrix(result)
+            assert np.array_equal(columnar.matrix(), expected)
+            assert columnar.events_counted == expected.sum()
 
     @pytest.mark.parametrize("per_server", (True, False))
     def test_streaming_mu(self, randomized_results, per_server):
         for result in randomized_results:
             arrays = result.fleet.arrays()
-            events, blocks = self._open_events(result, block_size=37)
-            scalar = StreamingMu(arrays.n_servers, arrays.server_base,
-                                 result.n_days, window_hours=6.0,
-                                 per_server=per_server)
-            for event in events:
-                scalar.update(event)
             columnar = StreamingMu(arrays.n_servers, arrays.server_base,
                                    result.n_days, window_hours=6.0,
                                    per_server=per_server)
-            for block in blocks:
+            for block in blocks_from_parts(**_parts(result), block_size=37):
                 columnar.update_block(block)
-            assert np.array_equal(scalar.matrix(), columnar.matrix())
+            assert np.array_equal(
+                columnar.matrix(),
+                mu_matrix(result, 6.0, per_server=per_server),
+            )
 
     def test_streaming_group_counts(self, randomized_results):
         for result in randomized_results:
             inventory = StreamInventory.from_result(result)
-            events, blocks = self._open_events(result, block_size=19)
-            scalar = StreamingGroupCounts(inventory.sku_code,
+            events, blocks = self._events_and_blocks(result, block_size=19)
+            scalar = ReferenceGroupCounts(inventory.sku_code,
                                           inventory.sku_names)
             for event in events:
                 scalar.update(event)
@@ -223,28 +229,26 @@ class TestUpdateBlockEquivalence:
         kinds = {EventKind.TICKET_OPEN, EventKind.TICKET_CLOSE}
         for result in randomized_results:
             inventory = StreamInventory.from_result(result)
-            events = list(flatten_parts_merged(**_parts(result),
-                                               kinds=kinds))
-            blocks = list(blocks_from_parts(**_parts(result), kinds=kinds,
-                                            block_size=23))
+            events, blocks = self._events_and_blocks(result, block_size=23, kinds=kinds)
             sla = AvailabilitySla(0.999)
-            scalar = SlaRiskMonitor(inventory, sla, spare_fraction)
+            scalar = ReferenceSlaRiskMonitor(inventory, sla, spare_fraction)
             scalar_alerts = []
             for event in events:
                 scalar_alerts.extend(scalar.update(event))
             columnar = SlaRiskMonitor(inventory, sla, spare_fraction)
             columnar_alerts = []
             for block in blocks:
-                columnar_alerts.extend(columnar.update_block(block))
+                columnar_alerts.extend(
+                    alert for _, alert in columnar.update_block(block))
             assert scalar_alerts == columnar_alerts
             for name, array in scalar.state_arrays().items():
                 assert np.array_equal(array, columnar.state_arrays()[name])
 
     def test_drift_detector(self, randomized_results):
         for result in randomized_results:
-            events, blocks = self._open_events(result, block_size=29)
-            scalar = RateDriftDetector(result.n_days, ratio=1.5,
-                                       min_excess=2.0)
+            events, blocks = self._events_and_blocks(result, block_size=29)
+            scalar = ReferenceDriftDetector(result.n_days, ratio=1.5,
+                                            min_excess=2.0)
             scalar_alerts = []
             for event in events:
                 scalar_alerts.extend(scalar.update(event))
@@ -252,31 +256,37 @@ class TestUpdateBlockEquivalence:
                                          min_excess=2.0)
             columnar_alerts = []
             for block in blocks:
-                columnar_alerts.extend(columnar.update_block(block))
+                columnar_alerts.extend(
+                    alert for _, alert in columnar.update_block(block))
             assert scalar_alerts == columnar_alerts
             for name, array in scalar.state_arrays().items():
                 assert np.array_equal(array, columnar.state_arrays()[name])
 
     @pytest.mark.parametrize("block_size", (1, 17, 8192))
     def test_analyzer_end_to_end(self, randomized_results, block_size):
-        """consume_blocks ≡ consume: summary, alerts, everything."""
+        """Summary and alerts do not depend on the blocking: one-record
+        blocks (the event-at-a-time order) agree with any other size,
+        and λ/μ equal the batch matrices."""
         for result in randomized_results:
             inventory = StreamInventory.from_result(result)
 
-            def analyzer():
-                return StreamAnalyzer(inventory, sla=AvailabilitySla(0.999),
-                                      spare_fraction=0.05)
+            def run(size):
+                analyzer = StreamAnalyzer(inventory,
+                                          sla=AvailabilitySla(0.999),
+                                          spare_fraction=0.05)
+                analyzer.consume_blocks(blocks_from_parts(
+                    **_parts(result), block_size=size,
+                ))
+                analyzer.finish()
+                return analyzer
 
-            scalar = analyzer()
-            scalar.consume(flatten_parts_merged(**_parts(result)))
-            scalar.finish()
-            columnar = analyzer()
-            columnar.consume_blocks(blocks_from_parts(
-                **_parts(result), block_size=block_size,
-            ))
-            columnar.finish()
-            assert columnar.summary() == scalar.summary()
-            assert columnar.alerts == scalar.alerts
+            reference = run(1)
+            columnar = run(block_size)
+            assert columnar.summary() == reference.summary()
+            assert columnar.alerts == reference.alerts
+            assert np.array_equal(columnar.lambda_matrix(),
+                                  lambda_matrix(result))
+            assert np.array_equal(columnar.mu_matrix(), mu_matrix(result))
 
     def test_checkpoint_split_mid_block(self, randomized_results, tmp_path):
         """Resume from a split that falls inside a block."""
@@ -327,13 +337,11 @@ class TestBlockSegment:
 
     def test_iteration_preserves_stream(self, tiny_run, tmp_path):
         reference = list(flatten_parts_merged(**_parts(tiny_run)))
-        spilled = BlockStream.from_result(tiny_run).spill(
-            tmp_path / "spill.npz", block_size=101,
-        )
-        from repro.stream import iter_block_events
-
-        events = [e for block in spilled for e in iter_block_events(block)]
-        assert events == reference
+        BlockSegment.from_blocks(
+            blocks_from_result(tiny_run), block_size=101,
+        ).save(tmp_path / "spill.npz")
+        spilled = BlockSegment.load(tmp_path / "spill.npz")
+        assert block_events(spilled) == reference
 
     def test_pools_survive_roundtrip(self, tiny_run, tmp_path):
         inventory = StreamInventory.from_result(tiny_run)

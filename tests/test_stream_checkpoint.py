@@ -13,8 +13,8 @@ from repro.stream import (
     STREAM_CHECKPOINT_SCHEMA,
     StreamAnalyzer,
     StreamInventory,
+    blocks_from_result,
     checkpoint_meta,
-    flatten_result,
     load_checkpoint,
     save_checkpoint,
 )
@@ -27,8 +27,9 @@ def half_streamed(tiny_run):
         inventory, window_hours=6.0, sla=AvailabilitySla(0.95),
         spare_fraction=0.02, drift=True,
     )
-    events = list(flatten_result(tiny_run))
-    analyzer.consume(iter(events), max_events=len(events) // 2)
+    total = sum(len(block) for block in blocks_from_result(tiny_run))
+    analyzer.consume_blocks(blocks_from_result(tiny_run),
+                            max_events=total // 2)
     return inventory, analyzer
 
 
@@ -57,7 +58,7 @@ class TestSaveLoad:
         inventory = StreamInventory.from_result(tiny_run)
         analyzer = StreamAnalyzer(inventory, spare_fraction=None,
                                   drift=False)
-        analyzer.consume(flatten_result(tiny_run), max_events=100)
+        analyzer.consume_blocks(blocks_from_result(tiny_run), max_events=100)
         clone = load_checkpoint(
             save_checkpoint(analyzer, tmp_path / "m.npz"), inventory,
         )
@@ -77,7 +78,7 @@ class TestSaveLoad:
 class TestRefusals:
     def test_finished_analyzer_refused(self, tiny_run, tmp_path):
         analyzer = StreamAnalyzer(StreamInventory.from_result(tiny_run))
-        analyzer.consume(flatten_result(tiny_run))
+        analyzer.consume_blocks(blocks_from_result(tiny_run))
         analyzer.finish()
         with pytest.raises(DataError, match="finished"):
             save_checkpoint(analyzer, tmp_path / "f.npz")
@@ -124,9 +125,9 @@ class TestRefusals:
         inventory, analyzer = half_streamed
         path = save_checkpoint(analyzer, tmp_path / "c.npz")
         clone = load_checkpoint(path, inventory)
-        wrong_offset = flatten_result(tiny_run)  # starts at seq 0
+        wrong_offset = blocks_from_result(tiny_run)  # starts at seq 0
         with pytest.raises(DataError, match="position"):
-            clone.process(next(wrong_offset))
+            clone.process_block(next(wrong_offset))
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +159,6 @@ class TestExtraMonitors:
         self, tiny_run, fitted_model, tmp_path,
     ):
         from repro.predict import PredictiveMonitor
-        from repro.stream import blocks_from_result
 
         inventory = StreamInventory.from_result(tiny_run)
         blocks = list(blocks_from_result(tiny_run))
@@ -192,7 +192,7 @@ class TestExtraMonitors:
     def test_extras_recorded_in_meta(self, tiny_run, fitted_model, tmp_path):
         inventory = StreamInventory.from_result(tiny_run)
         analyzer = self._monitored_analyzer(inventory, fitted_model)
-        analyzer.consume(flatten_result(tiny_run), max_events=200)
+        analyzer.consume_blocks(blocks_from_result(tiny_run), max_events=200)
         path = save_checkpoint(analyzer, tmp_path / "p.npz")
         meta = checkpoint_meta(path)
         assert meta["extras"] == [{"type": "PredictiveMonitor"}]
@@ -200,7 +200,7 @@ class TestExtraMonitors:
     def test_missing_factory_refused(self, tiny_run, fitted_model, tmp_path):
         inventory = StreamInventory.from_result(tiny_run)
         analyzer = self._monitored_analyzer(inventory, fitted_model)
-        analyzer.consume(flatten_result(tiny_run), max_events=200)
+        analyzer.consume_blocks(blocks_from_result(tiny_run), max_events=200)
         path = save_checkpoint(analyzer, tmp_path / "p.npz")
         with pytest.raises(DataError, match="PredictiveMonitor"):
             load_checkpoint(path, inventory)
@@ -214,10 +214,7 @@ class TestExtraMonitors:
 
     def test_stateless_extra_refused(self, tiny_run, tmp_path):
         class OpaqueMonitor:
-            def update(self, event):
-                return []
-
-            def _update_block_indexed(self, block):
+            def update_block(self, block):
                 return []
 
             def finish(self):
@@ -225,6 +222,6 @@ class TestExtraMonitors:
 
         analyzer = StreamAnalyzer(StreamInventory.from_result(tiny_run))
         analyzer.attach_monitor(OpaqueMonitor())
-        analyzer.consume(flatten_result(tiny_run), max_events=50)
+        analyzer.consume_blocks(blocks_from_result(tiny_run), max_events=50)
         with pytest.raises(DataError, match="OpaqueMonitor"):
             save_checkpoint(analyzer, tmp_path / "o.npz")

@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.reporting import EXPERIMENTS, get_experiment
 
 SIM = ["--seed", "9", "--scale", "0.05", "--days", "60"]
+FOLLOW = ["--follow", "--poll-interval", "0", "--max-idle-polls", "1"]
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +39,15 @@ class TestStreamCommand:
         assert "[sla-risk]" in out
 
     def test_corrupt_bundle_streams(self, corrupt_dir, capsys):
-        assert main(["stream", *SIM, "--from", str(corrupt_dir),
-                     "--spare-fraction", "0.02"]) == 0
+        capsys.readouterr()  # drop the export's own output
+        base = ["stream", *SIM, "--from", str(corrupt_dir),
+                "--spare-fraction", "0.02"]
+        assert main(base) == 0
         out = capsys.readouterr().out
         assert "events seen" in out and "tickets counted" in out
+        # Following the bundle (sensors included) streams the same.
+        assert main([*base, *FOLLOW]) == 0
+        assert capsys.readouterr().out == out
 
     def test_checkpoint_resume_matches_one_shot(self, export_dir, tmp_path,
                                                 capsys):
@@ -63,12 +69,24 @@ class TestStreamCommand:
         one_shot = capsys.readouterr()
         assert resumed.out == one_shot.out
 
-    def test_follow_mode_on_static_directory(self, export_dir, capsys):
-        assert main(["stream", *SIM, "--from", str(export_dir),
-                     "--spare-fraction", "0.01", "--follow",
-                     "--poll-interval", "0.01", "--max-idle-polls", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "events seen" in out
+    def test_follow_mode_on_static_directory(self, export_dir, tmp_path,
+                                             capsys):
+        """--follow and --resume … --follow print exactly what one
+        pass prints: the followed stream is the one-shot stream."""
+        capsys.readouterr()  # drop the export's own output
+        base = ["stream", *SIM, "--from", str(export_dir)]
+        assert main([*base, "--spare-fraction", "0.01"]) == 0
+        one_shot = capsys.readouterr().out
+
+        assert main([*base, "--spare-fraction", "0.01", *FOLLOW]) == 0
+        assert capsys.readouterr().out == one_shot
+
+        ckpt = tmp_path / "c.npz"
+        assert main([*base, "--spare-fraction", "0.01", "--max-events", "500",
+                     "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main([*base, "--resume", str(ckpt), *FOLLOW]) == 0
+        assert capsys.readouterr().out == one_shot
 
     def test_window_hours_flag(self, export_dir, capsys):
         assert main(["stream", *SIM, "--from", str(export_dir),

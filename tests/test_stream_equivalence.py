@@ -15,18 +15,25 @@ import pytest
 from repro.failures.tickets import FAULT_TYPES, HARDWARE_FAULTS, TicketLog
 from repro.fielddata import FieldDataset
 from repro.stream import (
+    EventKind,
     StreamAnalyzer,
     StreamInventory,
     StreamingLambda,
     StreamingMu,
-    flatten_result,
+    blocks_from_result,
     load_checkpoint,
     save_checkpoint,
 )
-from repro.stream.events import EventKind
 from repro.telemetry.aggregate import lambda_matrix, mu_matrix
 
 WINDOW_SIZES = (24.0, 6.0, 1.0, 7.5)
+
+
+def fold_opens(estimator, result):
+    """Fold a run's ticket-open stream into an estimator, block by block."""
+    for block in blocks_from_result(result, kinds={EventKind.TICKET_OPEN}):
+        estimator.update_block(block)
+    return estimator
 
 
 def random_ticket_log(rng: np.random.Generator, arrays, n_days: int,
@@ -84,35 +91,36 @@ def randomized_results(tiny_run):
 
 class TestLambdaEquivalence:
     def test_bit_identical_on_simulated_run(self, tiny_run):
-        lam = StreamingLambda(tiny_run.fleet.n_racks, tiny_run.n_days)
-        for event in flatten_result(tiny_run,
-                                    kinds={EventKind.TICKET_OPEN}):
-            lam.update(event)
+        lam = fold_opens(
+            StreamingLambda(tiny_run.fleet.n_racks, tiny_run.n_days),
+            tiny_run,
+        )
         assert np.array_equal(lam.matrix(), lambda_matrix(tiny_run))
 
     def test_bit_identical_on_randomized_logs(self, randomized_results):
         for result in randomized_results:
-            lam = StreamingLambda(result.fleet.n_racks, result.n_days)
-            for event in flatten_result(result,
-                                        kinds={EventKind.TICKET_OPEN}):
-                lam.update(event)
+            lam = fold_opens(
+                StreamingLambda(result.fleet.n_racks, result.n_days), result,
+            )
             assert np.array_equal(lam.matrix(), lambda_matrix(result))
 
     def test_bit_identical_with_fault_filter(self, randomized_results):
         result = randomized_results[0]
         faults = list(HARDWARE_FAULTS)
-        lam = StreamingLambda(result.fleet.n_racks, result.n_days,
-                              faults=faults)
-        for event in flatten_result(result, kinds={EventKind.TICKET_OPEN}):
-            lam.update(event)
+        lam = fold_opens(
+            StreamingLambda(result.fleet.n_racks, result.n_days,
+                            faults=faults),
+            result,
+        )
         assert np.array_equal(lam.matrix(), lambda_matrix(result, faults))
 
     def test_bit_identical_without_dedupe(self, randomized_results):
         result = randomized_results[1]
-        lam = StreamingLambda(result.fleet.n_racks, result.n_days,
-                              dedupe_batches=False)
-        for event in flatten_result(result, kinds={EventKind.TICKET_OPEN}):
-            lam.update(event)
+        lam = fold_opens(
+            StreamingLambda(result.fleet.n_racks, result.n_days,
+                            dedupe_batches=False),
+            result,
+        )
         assert np.array_equal(
             lam.matrix(), lambda_matrix(result, dedupe_batches=False),
         )
@@ -122,11 +130,11 @@ class TestMuEquivalence:
     @pytest.mark.parametrize("window_hours", WINDOW_SIZES)
     def test_bit_identical_on_simulated_run(self, tiny_run, window_hours):
         arrays = tiny_run.fleet.arrays()
-        mu = StreamingMu(arrays.n_servers, arrays.server_base,
-                         tiny_run.n_days, window_hours=window_hours)
-        for event in flatten_result(tiny_run,
-                                    kinds={EventKind.TICKET_OPEN}):
-            mu.update(event)
+        mu = fold_opens(
+            StreamingMu(arrays.n_servers, arrays.server_base,
+                        tiny_run.n_days, window_hours=window_hours),
+            tiny_run,
+        )
         assert np.array_equal(mu.matrix(),
                               mu_matrix(tiny_run, window_hours))
 
@@ -135,21 +143,22 @@ class TestMuEquivalence:
                                               window_hours):
         for result in randomized_results:
             arrays = result.fleet.arrays()
-            mu = StreamingMu(arrays.n_servers, arrays.server_base,
-                             result.n_days, window_hours=window_hours)
-            for event in flatten_result(result,
-                                        kinds={EventKind.TICKET_OPEN}):
-                mu.update(event)
+            mu = fold_opens(
+                StreamingMu(arrays.n_servers, arrays.server_base,
+                            result.n_days, window_hours=window_hours),
+                result,
+            )
             assert np.array_equal(mu.matrix(),
                                   mu_matrix(result, window_hours))
 
     def test_bit_identical_component_mode(self, randomized_results):
         result = randomized_results[2]
         arrays = result.fleet.arrays()
-        mu = StreamingMu(arrays.n_servers, arrays.server_base,
-                         result.n_days, per_server=False)
-        for event in flatten_result(result, kinds={EventKind.TICKET_OPEN}):
-            mu.update(event)
+        mu = fold_opens(
+            StreamingMu(arrays.n_servers, arrays.server_base,
+                        result.n_days, per_server=False),
+            result,
+        )
         assert np.array_equal(mu.matrix(),
                               mu_matrix(result, per_server=False))
 
@@ -158,12 +167,11 @@ class TestMuEquivalence:
         arrays = tiny_run.fleet.arrays()
         mu = StreamingMu(arrays.n_servers, arrays.server_base,
                          tiny_run.n_days)
-        for i, event in enumerate(
-            flatten_result(tiny_run, kinds={EventKind.TICKET_OPEN})
+        for block in blocks_from_result(
+            tiny_run, kinds={EventKind.TICKET_OPEN}, block_size=97,
         ):
-            mu.update(event)
-            if i % 97 == 0:
-                mu.matrix()
+            mu.update_block(block)
+            mu.matrix()
         assert np.array_equal(mu.matrix(), mu_matrix(tiny_run))
 
 
@@ -173,7 +181,7 @@ class TestCheckpointResumeEquivalence:
             StreamInventory.from_result(result),
             window_hours=window_hours, spare_fraction=0.01,
         )
-        analyzer.consume(flatten_result(result))
+        analyzer.consume_blocks(blocks_from_result(result))
         analyzer.finish()
         return analyzer
 
@@ -191,11 +199,12 @@ class TestCheckpointResumeEquivalence:
             rng.integers(2, full.events_seen - 2, 5).tolist()
         for i, split in enumerate(splits):
             partial = StreamAnalyzer(inventory, spare_fraction=0.01)
-            partial.consume(flatten_result(tiny_run), max_events=split)
+            partial.consume_blocks(blocks_from_result(tiny_run),
+                                   max_events=split)
             path = save_checkpoint(partial, tmp_path / f"split-{i}.npz")
             resumed = load_checkpoint(path, inventory)
             assert resumed.events_seen == split
-            resumed.consume(flatten_result(tiny_run, skip=split))
+            resumed.consume_blocks(blocks_from_result(tiny_run, skip=split))
             resumed.finish()
             self._assert_identical(resumed, full)
 
@@ -205,12 +214,12 @@ class TestCheckpointResumeEquivalence:
         inventory = StreamInventory.from_result(tiny_run)
         third = full.events_seen // 3
         a = StreamAnalyzer(inventory, spare_fraction=0.01)
-        a.consume(flatten_result(tiny_run), max_events=third)
+        a.consume_blocks(blocks_from_result(tiny_run), max_events=third)
         b = load_checkpoint(save_checkpoint(a, tmp_path / "a.npz"), inventory)
-        b.consume(flatten_result(tiny_run, skip=b.events_seen),
-                  max_events=third)
+        b.consume_blocks(blocks_from_result(tiny_run, skip=b.events_seen),
+                         max_events=third)
         c = load_checkpoint(save_checkpoint(b, tmp_path / "b.npz"), inventory)
-        c.consume(flatten_result(tiny_run, skip=c.events_seen))
+        c.consume_blocks(blocks_from_result(tiny_run, skip=c.events_seen))
         c.finish()
         self._assert_identical(c, full)
 
@@ -222,11 +231,11 @@ class TestCheckpointResumeEquivalence:
         split = full.events_seen // 2
         partial = StreamAnalyzer(inventory, window_hours=1.0,
                                  spare_fraction=0.01)
-        partial.consume(flatten_result(result), max_events=split)
+        partial.consume_blocks(blocks_from_result(result), max_events=split)
         resumed = load_checkpoint(
             save_checkpoint(partial, tmp_path / "r.npz"), inventory,
         )
-        resumed.consume(flatten_result(result, skip=split))
+        resumed.consume_blocks(blocks_from_result(result, skip=split))
         resumed.finish()
         self._assert_identical(resumed, full)
         assert np.array_equal(resumed.mu_matrix(), mu_matrix(result, 1.0))
@@ -235,8 +244,8 @@ class TestCheckpointResumeEquivalence:
         from repro.errors import DataError
 
         analyzer = StreamAnalyzer(StreamInventory.from_result(tiny_run))
-        events = flatten_result(tiny_run)
-        analyzer.process(next(events))
-        next(events)  # drop one → gap
+        blocks = blocks_from_result(tiny_run, block_size=1)
+        analyzer.process_block(next(blocks))
+        next(blocks)  # drop one → gap
         with pytest.raises(DataError, match="position"):
-            analyzer.process(next(events))
+            analyzer.process_block(next(blocks))

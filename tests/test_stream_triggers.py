@@ -14,13 +14,14 @@ from repro.stream import (
     RateDriftDetector,
     SlaRiskMonitor,
     StreamAnalyzer,
+    EventKind,
     StreamInventory,
+    blocks_from_field_dataset,
+    blocks_from_result,
     calibrated_spare_fraction,
-    flatten_field_dataset,
-    flatten_result,
 )
-from repro.stream.events import Event, EventKind
 from repro.telemetry.aggregate import mu_matrix
+from stream_oracle import Event, block_of, close_of
 
 DISK = FAULT_CODE[FaultType.DISK]
 
@@ -48,11 +49,9 @@ def _open(t, rack=0, offset=0, repair=10.0, ordinal=0, fault=DISK, fp=False):
                  ticket_ordinal=ordinal)
 
 
-def _close(open_event):
-    import dataclasses
-
-    return dataclasses.replace(open_event, kind=EventKind.TICKET_CLOSE,
-                               time_hours=open_event.end_hour_abs)
+def feed(trigger, event):
+    """Fold one event in as a one-row block; returns its alerts."""
+    return [alert for _, alert in trigger.update_block(block_of(event))]
 
 
 class TestSlaRiskMonitor:
@@ -62,45 +61,45 @@ class TestSlaRiskMonitor:
         first = _open(0.0, offset=0)
         second = _open(1.0, offset=1, ordinal=1)
         third = _open(2.0, offset=2, ordinal=2)
-        assert monitor.update(first) == []
-        alerts = monitor.update(second)  # 2 down > 1.0 allowed
+        assert feed(monitor, first) == []
+        alerts = feed(monitor, second)  # 2 down > 1.0 allowed
         assert len(alerts) == 1
         assert alerts[0].kind is AlertKind.SLA_RISK
         assert alerts[0].rack_index == 0 and alerts[0].value == 2.0
-        assert monitor.update(third) == []  # still in breach: no re-alert
+        assert feed(monitor, third) == []  # still in breach: no re-alert
 
     def test_realerts_after_recovery(self):
         monitor = SlaRiskMonitor(_tiny_inventory(), AvailabilitySla(1.0),
                                  spare_fraction=0.1)
         a, b = _open(0.0, offset=0), _open(1.0, offset=1, ordinal=1)
-        monitor.update(a)
-        assert len(monitor.update(b)) == 1
-        monitor.update(_close(a))  # back to 1 down <= allowed
+        feed(monitor, a)
+        assert len(feed(monitor, b)) == 1
+        feed(monitor, close_of(a))  # back to 1 down <= allowed
         assert monitor.breached[0] == False  # noqa: E712
         c = _open(12.0, offset=2, ordinal=2)
-        assert len(monitor.update(c)) == 1  # new episode
+        assert len(feed(monitor, c)) == 1  # new episode
 
     def test_same_server_double_ticket_counts_once(self):
         monitor = SlaRiskMonitor(_tiny_inventory(), AvailabilitySla(1.0),
                                  spare_fraction=0.1)
-        monitor.update(_open(0.0, offset=4))
-        assert monitor.update(_open(1.0, offset=4, ordinal=1)) == []
+        feed(monitor, _open(0.0, offset=4))
+        assert feed(monitor, _open(1.0, offset=4, ordinal=1)) == []
         assert monitor.down[0] == 1
 
     def test_shortfall_tolerates_at_lower_sla(self):
         # SLA 0.9 on 10 servers tolerates 1 down even with zero spares.
         monitor = SlaRiskMonitor(_tiny_inventory(), AvailabilitySla(0.9),
                                  spare_fraction=0.0)
-        assert monitor.update(_open(0.0, offset=0)) == []
-        assert len(monitor.update(_open(1.0, offset=1, ordinal=1))) == 1
+        assert feed(monitor, _open(0.0, offset=0)) == []
+        assert len(feed(monitor, _open(1.0, offset=1, ordinal=1))) == 1
 
     def test_software_and_fp_ignored(self):
         monitor = SlaRiskMonitor(_tiny_inventory(), AvailabilitySla(1.0),
                                  spare_fraction=0.0)
-        assert monitor.update(
-            _open(0.0, fault=FAULT_CODE[FaultType.TIMEOUT])
+        assert feed(
+            monitor, _open(0.0, fault=FAULT_CODE[FaultType.TIMEOUT]),
         ) == []
-        assert monitor.update(_open(1.0, fp=True, ordinal=1)) == []
+        assert feed(monitor, _open(1.0, fp=True, ordinal=1)) == []
         assert monitor.down[0] == 0
 
     def test_negative_fraction_rejected(self):
@@ -113,9 +112,9 @@ class TestSlaRiskMonitor:
             _tiny_inventory(), AvailabilitySla(1.0),
             spare_fraction=np.array([0.0, 0.5]),
         )
-        assert len(monitor.update(_open(0.0, rack=0, offset=0))) == 1
+        assert len(feed(monitor, _open(0.0, rack=0, offset=0))) == 1
         # Rack 1 has 10 spares provisioned: far from breach.
-        assert monitor.update(_open(1.0, rack=1, offset=0, ordinal=1)) == []
+        assert feed(monitor, _open(1.0, rack=1, offset=0, ordinal=1)) == []
 
 
 class TestCalibrationContract:
@@ -126,7 +125,7 @@ class TestCalibrationContract:
             StreamInventory.from_result(result),
             sla=AvailabilitySla(1.0), spare_fraction=fraction, drift=False,
         )
-        analyzer.consume(flatten_result(result))
+        analyzer.consume_blocks(blocks_from_result(result))
         analyzer.finish()
         return analyzer
 
@@ -150,7 +149,7 @@ class TestCalibrationContract:
         inventory = StreamInventory.from_field_dataset(dataset)
         analyzer = StreamAnalyzer(inventory, sla=AvailabilitySla(1.0),
                                   spare_fraction=fraction)
-        analyzer.consume(flatten_field_dataset(dataset))
+        analyzer.consume_blocks(blocks_from_field_dataset(dataset))
         analyzer.finish()
         assert [a for a in analyzer.alerts
                 if a.kind is AlertKind.SLA_RISK] == []
@@ -177,7 +176,7 @@ class TestRateDriftDetector:
         alerts = []
         for day, count in enumerate(rates):
             for i in range(count):
-                alerts += detector.update(_open(
+                alerts += feed(detector, _open(
                     day * 24.0 + (i + 0.5) * 24.0 / max(count, 1),
                     offset=i % 5, ordinal=ordinal,
                 ))
@@ -217,8 +216,8 @@ class TestRateDriftDetector:
 
         detector = RateDriftDetector(n_days=40)
         event = dataclasses.replace(_open(0.0), batch_id=3)
-        detector.update(event)
-        detector.update(dataclasses.replace(event, ticket_ordinal=1))
+        feed(detector, event)
+        feed(detector, dataclasses.replace(event, ticket_ordinal=1))
         assert detector.day_counts[0] == 1
 
     def test_parameter_validation(self):
@@ -233,8 +232,8 @@ class TestRateDriftDetector:
         for day in range(45):
             count = 3 if day < 40 else 12
             for i in range(count):
-                detector.update(_open(day * 24.0 + i * 0.1, offset=i % 5,
-                                      ordinal=ordinal))
+                feed(detector, _open(day * 24.0 + i * 0.1, offset=i % 5,
+                                     ordinal=ordinal))
                 ordinal += 1
         clone = RateDriftDetector.from_state(detector.state_arrays(),
                                              detector.meta())
@@ -243,8 +242,8 @@ class TestRateDriftDetector:
             for i in range(12):
                 event = _open(day * 24.0 + i * 0.1, offset=i % 5,
                               ordinal=ordinal)
-                tail_a += detector.update(event)
-                tail_b += clone.update(event)
+                tail_a += feed(detector, event)
+                tail_b += feed(clone, event)
                 ordinal += 1
         tail_a += detector.finish()
         tail_b += clone.finish()
