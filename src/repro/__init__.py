@@ -43,7 +43,6 @@ from .errors import (
     SchemaError,
     SimulationError,
 )
-from .cache import RunCache, simulate_cached
 from .failures.engine import SimulationResult, simulate
 from .fielddata import (
     CorruptionPipeline,
@@ -91,7 +90,6 @@ __all__ = [
     "RegressionTree",
     "ReproError",
     "RngRegistry",
-    "RunCache",
     "SchemaError",
     "SimulationConfig",
     "SimulationError",
@@ -123,6 +121,5 @@ __all__ = [
     "render_tree",
     "run_experiments",
     "simulate",
-    "simulate_cached",
     "__version__",
 ]

@@ -17,7 +17,7 @@ from .cart import (
     prune_sequence,
     render_tree,
 )
-from .clustering import Cluster, cluster_summary, clusters_from_tree
+from .clustering import Cluster, clusters_from_tree
 from .formula import Formula, Term, parse_formula
 from .multi_factor import MultiFactorModel
 from .prediction import (
@@ -51,7 +51,6 @@ __all__ = [
     "TreeParams",
     "best_split",
     "build_prediction_dataset",
-    "cluster_summary",
     "clusters_from_tree",
     "cross_validated_alpha",
     "describe_path",

@@ -74,16 +74,3 @@ def clusters_from_tree(
         raise DataError("tree routed no rows to any leaf")
     clusters.sort(key=lambda cluster: cluster.prediction)
     return clusters
-
-
-def cluster_summary(clusters: list[Cluster]) -> str:
-    """Multi-line textual summary of a clustering."""
-    if not clusters:
-        raise DataError("no clusters to summarize")
-    lines = [f"{len(clusters)} clusters:"]
-    for rank, cluster in enumerate(clusters, start=1):
-        lines.append(
-            f"  [{rank}] n={cluster.size:4d} mean={cluster.prediction:.4g}  "
-            f"{cluster.description}"
-        )
-    return "\n".join(lines)

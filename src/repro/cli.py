@@ -70,7 +70,7 @@ def _build_config(args: argparse.Namespace, seed: int | None = None) -> Simulati
     )
 
 
-def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_seed_arg, default=0,
                         help="master RNG seed (default 0)")
     parser.add_argument("--scale", type=float, default=0.25,
@@ -79,28 +79,40 @@ def _add_sim_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--days", type=int, default=365,
                         help="observation window in days (default 365; "
                              "paper: 910)")
-    parser.add_argument("--jobs", type=_jobs_arg, default=1,
-                        help="worker processes for parallel stages "
-                             "(default 1 = serial; 0 = all cores)")
+
+
+def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=os.environ.get("REPRO_CACHE_DIR"),
-                        help="run-cache directory (default: $REPRO_CACHE_DIR "
-                             "if set, else no caching)")
+                        help="artifact store shared by simulate, report, "
+                             "corrupt, predict, sweep and pipeline "
+                             "(default: $REPRO_CACHE_DIR if set, else no "
+                             "caching)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="bypass the run cache even if --cache-dir / "
-                             "$REPRO_CACHE_DIR is set")
+                        help="bypass the artifact store even if "
+                             "--cache-dir / $REPRO_CACHE_DIR is set")
 
 
-def _resolve_cache(args: argparse.Namespace):
-    """The RunCache implied by --cache-dir/--no-cache, or None."""
-    if args.no_cache or not args.cache_dir:
-        return None
-    from .cache import RunCache
-
-    return RunCache(args.cache_dir)
-
-
-def _cache_dir_for_workers(args: argparse.Namespace) -> str | None:
+def _store_dir(args: argparse.Namespace) -> str | None:
+    """The artifact-store directory, or None for a memory-only store."""
     return None if (args.no_cache or not args.cache_dir) else str(args.cache_dir)
+
+
+def _simulate(args: argparse.Namespace, seed: int | None = None,
+              note_hit: bool = False):
+    """The run, resolved through the store's ``simulate`` stage
+    (memory-only without --cache-dir); ``note_hit`` says on stderr when
+    the store served it."""
+    from .pipeline import ArtifactStore, Pipeline, simulate_stage
+    from .reporting.context import SIMULATE_STAGE
+
+    pipeline = Pipeline(
+        [simulate_stage(_build_config(args, seed=seed))],
+        store=ArtifactStore(_store_dir(args)),
+    )
+    result = pipeline.get(SIMULATE_STAGE)
+    if note_hit and pipeline.executions[0].outcome != "computed":
+        print("(loaded from run cache)", file=sys.stderr)
+    return result
 
 
 def _export_run(result, out_dir: pathlib.Path) -> None:
@@ -113,9 +125,7 @@ def _export_run(result, out_dir: pathlib.Path) -> None:
 
 def _simulate_seed_to_dir(seed: int, args: argparse.Namespace) -> str:
     """Worker for multi-seed export: simulate one seed into out/seed-N/."""
-    from .cache import simulate_cached
-
-    result, _ = simulate_cached(_build_config(args, seed=seed), _resolve_cache(args))
+    result = _simulate(args, seed=seed)
     out_dir = pathlib.Path(args.out) / f"seed-{seed}"
     out_dir.mkdir(parents=True, exist_ok=True)
     export_tickets_csv(result, out_dir / "tickets.csv")
@@ -124,8 +134,6 @@ def _simulate_seed_to_dir(seed: int, args: argparse.Namespace) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .cache import simulate_cached
-
     if args.seeds:
         import functools
 
@@ -140,9 +148,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             print(f"  wrote {pathlib.Path(args.out) / f'seed-{seed}'}/"
                   "{tickets,inventory}.csv")
         return 0
-    result, was_hit = simulate_cached(_build_config(args), _resolve_cache(args))
-    if was_hit:
-        print("(loaded from run cache)", file=sys.stderr)
+    result = _simulate(args, note_hit=True)
     print(result.summary())
     _export_run(result, pathlib.Path(args.out))
     return 0
@@ -156,8 +162,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for experiment_id in wanted:
         get_experiment(experiment_id)  # validate before simulating
     config = _build_config(args)
-    cache_dir = _cache_dir_for_workers(args)
-    store = ArtifactStore(cache_dir) if cache_dir else ArtifactStore()
+    cache_dir = _store_dir(args)
+    store = ArtifactStore(cache_dir)
     pipeline = build_report_pipeline(config, store=store, experiment_ids=wanted)
 
     # The summary stage is cached text, so a warm store serves the
@@ -199,15 +205,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_corrupt(args: argparse.Namespace) -> int:
-    from .cache import simulate_cached
     from .fielddata import (
         FieldDataset, clean_dataset, export_dataset, standard_pipeline,
     )
 
-    result, was_hit = simulate_cached(_build_config(args), _resolve_cache(args))
-    if was_hit:
-        print("(loaded from run cache)", file=sys.stderr)
-    dataset = FieldDataset.from_result(result)
+    dataset = FieldDataset.from_result(_simulate(args, note_hit=True))
     seed = args.corruption_seed if args.corruption_seed is not None else args.seed
     corrupted, report = standard_pipeline(args.severity, seed=seed).apply(dataset)
     print(report.render())
@@ -227,7 +229,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
         by_severity = run_noise_sweep(
             seeds, args.noise, scale=args.scale, n_days=args.days,
-            jobs=args.jobs, cache_dir=_cache_dir_for_workers(args),
+            jobs=args.jobs, cache_dir=_store_dir(args),
         )
         print(render_noise_sweep(by_severity, seeds))
         return 0
@@ -235,7 +237,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     summaries = run_sweep(seeds, scale=args.scale, n_days=args.days,
                           jobs=args.jobs,
-                          cache_dir=_cache_dir_for_workers(args))
+                          cache_dir=_store_dir(args))
     print(render_sweep(summaries, seeds))
     return 0
 
@@ -336,12 +338,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    from .cache import simulate_cached
     from .predict import build_feature_dataset, train_predictor
     from .predict.experiment import compute_predict_payload, render_predict
     from .predict.scoring import score_predictions
 
-    result, _ = simulate_cached(_build_config(args), _resolve_cache(args))
+    result = _simulate(args)
     if args.action == "score":
         payload = compute_predict_payload(result, horizon_days=args.horizon)
         print(render_predict(payload))
@@ -520,7 +521,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
     from .pipeline import ArtifactStore, build_report_pipeline
 
-    cache_dir = _cache_dir_for_workers(args)
+    cache_dir = _store_dir(args)
     if args.action == "dag":
         pipeline = build_report_pipeline(_build_config(args))
         stages = pipeline.manifest()["stages"]
@@ -539,7 +540,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             print("pipeline prune needs --cache-dir (or $REPRO_CACHE_DIR)",
                   file=sys.stderr)
             return 1
-        from .cache import DEFAULT_MAX_ENTRIES
+        from .pipeline import DEFAULT_MAX_ENTRIES
 
         bound = (args.max_entries if args.max_entries is not None
                  else DEFAULT_MAX_ENTRIES)
@@ -585,7 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sim = commands.add_parser("simulate", help="simulate and export CSVs")
-    _add_sim_arguments(sim)
+    _add_config_arguments(sim)
+    sim.add_argument("--jobs", type=_jobs_arg, default=1,
+                     help="worker processes for --seeds, one seed each "
+                          "(default 1 = serial; 0 = all cores)")
+    _add_store_arguments(sim)
     sim.add_argument("--out", default="simdata",
                      help="output directory (default ./simdata)")
     sim.add_argument("--seeds", type=_seed_arg, nargs="+", default=None,
@@ -598,7 +603,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("experiment",
                         help="experiment id, e.g. table2 or fig10 or all")
-    _add_sim_arguments(report)
+    _add_config_arguments(report)
+    report.add_argument("--jobs", type=_jobs_arg, default=1,
+                        help="worker processes rendering experiments "
+                             "(default 1 = serial; 0 = all cores)")
+    _add_store_arguments(report)
     report.add_argument("--out", default=None,
                         help="write a markdown report here instead of stdout")
     report.set_defaults(func=_cmd_report)
@@ -607,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
         "corrupt",
         help="simulate, degrade the field data, and export the result",
     )
-    _add_sim_arguments(corrupt)
+    _add_config_arguments(corrupt)
+    _add_store_arguments(corrupt)
     corrupt.add_argument("--severity", type=float, default=0.5,
                          help="corruption severity in [0, 1] for every "
                               "operator (default 0.5; 0 = untouched)")
@@ -637,18 +647,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="corruption severities: degrade+clean each "
                             "seed's field data at these levels and "
                             "report metric drift (e.g. --noise 0 0.3 0.6 1)")
-    sweep.add_argument("--cache-dir", default=os.environ.get("REPRO_CACHE_DIR"),
-                       help="run-cache directory for the base runs "
-                            "(default: $REPRO_CACHE_DIR if set)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="bypass the run cache")
+    _add_store_arguments(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     stream = commands.add_parser(
         "stream",
         help="replay an exported directory through the online analyzers",
     )
-    _add_sim_arguments(stream)
+    _add_config_arguments(stream)
     stream.add_argument("--from", dest="in_dir", default="simdata",
                         help="exported run/field directory with tickets.csv "
                              "+ inventory.csv (default ./simdata); --seed/"
@@ -692,7 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "(ranking + proactive TCO vs reactive); "
                               "follow: replay the stream with the live "
                               "predictive monitor and print its alerts")
-    _add_sim_arguments(predict)
+    _add_config_arguments(predict)
+    _add_store_arguments(predict)
     predict.add_argument("--horizon", type=int, default=3,
                          help="label horizon in days (default 3)")
     predict.add_argument("--threshold", type=float, default=0.6,
@@ -704,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         "autonomics",
         help="closed-loop controllers over a stepping simulation session",
     )
-    _add_sim_arguments(autonomics)
+    _add_config_arguments(autonomics)
     autonomics.add_argument(
         "--policy", action="append", default=None,
         choices=("null", "reactive", "predictive", "threshold"),
@@ -801,7 +808,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "keys; manifest: show the provenance of the "
                            "last report run in --cache-dir; prune: bound "
                            "the artifact store")
-    _add_sim_arguments(pipe)
+    _add_config_arguments(pipe)
+    _add_store_arguments(pipe)
     pipe.add_argument("--format", choices=("text", "json"), default="text",
                       help="output format (default text)")
     pipe.add_argument("--max-entries", type=int, default=None,

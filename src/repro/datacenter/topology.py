@@ -49,13 +49,6 @@ class PackagingKind(Enum):
     COLOCATED = "colocated"
 
 
-class ComponentKind(Enum):
-    """Server sub-components tracked for Q1-B component-level spares."""
-
-    HDD = "hdd"
-    DIMM = "dimm"
-
-
 @dataclass(frozen=True)
 class RegionSpec:
     """A thermal/electrical zone within a datacenter.

@@ -70,15 +70,6 @@ def required_spares(
     return float(max(0.0, mu_samples.max() - sla.shortfall * capacity))
 
 
-def overprovision_fraction(spares: float, capacity: float) -> float:
-    """Spare count as a fraction of provisioned capacity."""
-    if capacity <= 0:
-        raise DataError(f"capacity must be positive, got {capacity}")
-    if spares < 0:
-        raise DataError(f"spares must be >= 0, got {spares}")
-    return float(spares / capacity)
-
-
 def uniform_fraction_for_pool(
     mu_fractions: np.ndarray,
     sla: AvailabilitySla,

@@ -38,6 +38,7 @@ from ..errors import DataError
 from ..failures.engine import SimulationResult
 from ..failures.tickets import HARDWARE_FAULTS
 from ..telemetry.aggregate import build_rack_day_table
+from ..telemetry.stats import weighted_mean
 from ..telemetry.table import Table
 from .tco import TcoModel
 
@@ -230,8 +231,8 @@ def compare_vendors(
         rollup[vendor] = VendorStats(
             vendor=vendor,
             skus=tuple(present),
-            sf_mean=float((sf_values * exposures).sum() / total),
-            mf_mean=float((mf_values * exposures).sum() / total),
+            sf_mean=weighted_mean(sf_values, exposures),
+            mf_mean=weighted_mean(mf_values, exposures),
             exposure=int(total),
         )
     if not rollup:

@@ -26,7 +26,6 @@ from .sensors import (
     Sensor,
     SensorKind,
     SensorLevel,
-    ahu_pressure_sensor,
     rack_sensor_pair,
 )
 from .weather import (
@@ -59,7 +58,6 @@ __all__ = [
     "SupplyAir",
     "WeatherDay",
     "WeatherSeries",
-    "ahu_pressure_sensor",
     "attach_ahu_telemetry",
     "dc1_site_climate",
     "dc2_site_climate",

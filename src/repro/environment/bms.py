@@ -163,9 +163,9 @@ class BuildingManagementSystem:
     def rebuild_log(self, temp_f: np.ndarray, rh: np.ndarray) -> BmsLog:
         """Reassemble a :class:`BmsLog` from previously observed readings.
 
-        Used by the run cache: the noisy readings come from disk, and the
-        (deterministic) alarm scan is re-run over them, giving a log
-        identical to the original :meth:`collect` output.
+        Used by the pipeline's ``run`` codec: the noisy readings come from
+        disk, and the (deterministic) alarm scan is re-run over them,
+        giving a log identical to the original :meth:`collect` output.
         """
         return BmsLog(temp_f=temp_f, rh=rh, alarms=self._scan_alarms(temp_f, rh))
 

@@ -130,8 +130,8 @@ class EnvironmentSeries:
     ) -> "EnvironmentSeries":
         """Restore a series from previously computed condition matrices.
 
-        Used by the run cache: conditions are loaded from disk instead of
-        re-deriving them from weather/cooling models.  ``weather`` is
+        Used by the pipeline's ``run`` codec: conditions are loaded from
+        disk instead of re-deriving them from weather/cooling models.  ``weather`` is
         optional — cached bundles do not persist the outdoor series.
         """
         arrays = fleet.arrays()

@@ -100,16 +100,3 @@ def rack_sensor_pair(rack_id: str) -> tuple[Sensor, Sensor]:
             noise_sd=DEFAULT_NOISE_SD[SensorKind.RELATIVE_HUMIDITY],
         ),
     )
-
-
-def ahu_pressure_sensor(dc_name: str, ahu_index: int) -> Sensor:
-    """Pressure instrumentation for one air-handler unit."""
-    if ahu_index < 0:
-        raise ConfigError(f"ahu_index must be >= 0, got {ahu_index}")
-    return Sensor(
-        sensor_id=f"{dc_name}/AHU{ahu_index}/pressure",
-        kind=SensorKind.PRESSURE,
-        level=SensorLevel.AHU,
-        location=f"{dc_name}/AHU{ahu_index}",
-        noise_sd=DEFAULT_NOISE_SD[SensorKind.PRESSURE],
-    )

@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError
-from ..units import DAYS_PER_YEAR, clamp
+from ..units import (
+    DAYS_PER_YEAR,
+    celsius_to_fahrenheit,
+    clamp,
+    fahrenheit_to_celsius,
+)
 
 
 @dataclass(frozen=True)
@@ -178,7 +183,7 @@ def wet_bulb_estimate_f(temp_f: float, rh: float) -> float:
     """
     if not 0.0 < rh <= 100.0:
         raise ConfigError(f"RH must be in (0, 100], got {rh}")
-    temp_c = (temp_f - 32.0) * 5.0 / 9.0
+    temp_c = fahrenheit_to_celsius(temp_f)
     wet_c = (
         temp_c * np.arctan(0.151977 * np.sqrt(rh + 8.313659))
         + np.arctan(temp_c + rh)
@@ -186,6 +191,6 @@ def wet_bulb_estimate_f(temp_f: float, rh: float) -> float:
         + 0.00391838 * rh**1.5 * np.arctan(0.023101 * rh)
         - 4.686035
     )
-    wet_f = wet_c * 9.0 / 5.0 + 32.0
+    wet_f = celsius_to_fahrenheit(wet_c)
     # A wet bulb can never exceed the dry bulb; guard the fit's edges.
     return float(clamp(wet_f, -40.0, temp_f))

@@ -170,9 +170,9 @@ def _build_substrate(
 ) -> tuple[RngRegistry, Fleet, SimCalendar, EnvironmentSeries, BmsLog]:
     """Deterministic pre-ticket substrate: fleet, calendar, environment, BMS.
 
-    Shared by :func:`simulate` and the run cache's load path — the cache
-    rebuilds everything cheap from the config and only restores the
-    (expensive, stochastic) ticket log from disk.
+    Shared by :func:`simulate` and the stepping session.  The pipeline's
+    ``run`` codec likewise rebuilds everything cheap from the config and
+    only restores the (expensive, stochastic) ticket log from disk.
     """
     rngs = RngRegistry(config.seed)
     fleet = build_fleet(config.fleet, rngs)

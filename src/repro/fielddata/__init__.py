@@ -47,8 +47,6 @@ from .robustness import (
     NoisePoint,
     degrade_and_clean,
     headline_metrics,
-    noise_sweep_result,
-    render_noise_points,
 )
 
 __all__ = [
@@ -73,9 +71,7 @@ __all__ = [
     "load_inventory_csv",
     "load_tickets_csv",
     "log_from_columns",
-    "noise_sweep_result",
     "rack_exposure_days",
-    "render_noise_points",
     "standard_pipeline",
     "ticket_columns",
 ]

@@ -26,6 +26,7 @@ from ..telemetry.io import (
     TICKET_COLUMNS,
     export_fleet_inventory_csv,
     export_ticket_log_csv,
+    load_array_bundle,
     read_csv_table,
 )
 from ..telemetry.schema import INVENTORY_CSV, TICKET_CSV, TICKET_LOG
@@ -269,12 +270,11 @@ def load_field_dataset(
     bundle_path = in_dir / _SENSOR_BUNDLE
     if not bundle_path.exists():
         raise DataError(f"no sensor bundle at {bundle_path}")
-    with np.load(bundle_path) as bundle:
-        try:
-            temp_f = bundle["temp_f"]
-            rh = bundle["rh"]
-        except KeyError as error:
-            raise DataError(f"{bundle_path} is missing {error}") from error
+    arrays, _ = load_array_bundle(bundle_path, mmap=False)
+    missing = [name for name in ("temp_f", "rh") if name not in arrays]
+    if missing:
+        raise DataError(f"{bundle_path} is missing {missing}")
+    temp_f, rh = arrays["temp_f"], arrays["rh"]
     decommission = inventory.decommission_day
     if decommission is None:
         decommission = np.full(fleet.n_racks, config.n_days, dtype=np.int64)

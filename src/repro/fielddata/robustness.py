@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from ..decisions.availability import AvailabilitySla
 from ..decisions.climate import climate_group_rates, discover_climate_thresholds
 from ..decisions.sku_ranking import compare_skus
 from ..decisions.spares import SpareProvisioner
-from ..errors import ConfigError, ReproError
+from ..errors import ReproError
 from ..failures.engine import SimulationResult
 from ..reporting.context import fielddata_stage as stage_name
 from .cleaning import CleaningReport, clean_dataset, fleet_lambda
@@ -127,16 +127,6 @@ def degrade_and_clean(
     return degraded_result, point
 
 
-def noise_sweep_result(
-    result: SimulationResult,
-    severities: Sequence[float] = DEFAULT_SEVERITIES,
-) -> list[NoisePoint]:
-    """Run :func:`degrade_and_clean` across a severity grid."""
-    if not severities:
-        raise ConfigError("need at least one severity level")
-    return [degrade_and_clean(result, severity)[1] for severity in severities]
-
-
 def noise_point_payload(result: SimulationResult, severity: float) -> dict:
     """One severity's :class:`NoisePoint`, as a JSON-serializable dict.
 
@@ -146,10 +136,7 @@ def noise_point_payload(result: SimulationResult, severity: float) -> dict:
     nothing process-bound, so it round-trips through the artifact
     store's ``json`` codec bit-identically.
     """
-    return _point_payload(degrade_and_clean(result, severity)[1])
-
-
-def _point_payload(point: NoisePoint) -> dict:
+    point = degrade_and_clean(result, severity)[1]
     return {
         "severity": point.severity,
         "metrics": dict(point.metrics),
@@ -218,11 +205,6 @@ def render_noise_payloads(payloads: list[dict]) -> str:
             f"severity {payload['severity']:.2f}: {payload['cleaning_text']}"
         )
     return "\n".join(lines)
-
-
-def render_noise_points(points: list[NoisePoint]) -> str:
-    """Render :class:`NoisePoint` objects (payload-form convenience)."""
-    return render_noise_payloads([_point_payload(point) for point in points])
 
 
 def fielddata_experiment(context: "AnalysisContext") -> str:

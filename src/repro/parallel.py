@@ -6,7 +6,7 @@ running that way once the engine itself is vectorized:
 * multi-seed robustness/ablation sweeps (one process per seed),
 * multi-seed CSV exports from the CLI, and
 * rendering the report's independent experiments (one process pool whose
-  workers share a single simulation via the run cache).
+  workers share a single simulation via the artifact store).
 
 Everything here is deliberately small: a ``ProcessPoolExecutor`` wrapper
 with a serial fast path (``jobs <= 1`` never spawns processes, so tests

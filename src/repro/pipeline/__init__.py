@@ -8,6 +8,7 @@ records) plus the report stage catalogue
 
 from .core import (
     CODECS,
+    DEFAULT_MAX_ENTRIES,
     PIPELINE_SCHEMA,
     ArtifactStore,
     Pipeline,
@@ -23,6 +24,8 @@ from .stages import (
     RENDER_PREFIX,
     analysis_stages,
     build_report_pipeline,
+    config_fingerprint,
+    config_key,
     fielddata_payload_stage,
     render_stage_name,
     simulate_stage,
@@ -31,6 +34,7 @@ from .stages import (
 
 __all__ = [
     "CODECS",
+    "DEFAULT_MAX_ENTRIES",
     "PIPELINE_SCHEMA",
     "PROVISIONER_WINDOWS",
     "RENDER_PREFIX",
@@ -42,6 +46,8 @@ __all__ = [
     "analysis_stages",
     "build_report_pipeline",
     "clear_source_fingerprints",
+    "config_fingerprint",
+    "config_key",
     "execution_from_json",
     "fielddata_payload_stage",
     "render_stage_name",

@@ -1,11 +1,9 @@
 """Content-addressed stage DAG: declarative artifacts with provenance.
 
 The paper's workflow is one pipeline — ``simulate → flatten/clean →
-aggregate(λ, μ) → fit → decisions → render`` — but the repo used to
-drive it four different ways, each re-deriving intermediates from
-scratch with caching only at whole-run granularity
-(:class:`~repro.cache.RunCache`).  This module generalizes that cache
-into a per-stage artifact store plus a small declarative DAG:
+aggregate(λ, μ) → fit → decisions → render`` — and every command drives
+it through this module: a per-stage artifact store plus a small
+declarative DAG.
 
 * a :class:`Stage` names an artifact, its dependencies, the inputs that
   fingerprint it, and the function that computes it;
@@ -36,10 +34,23 @@ import re
 import shutil
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from ..cache import DEFAULT_MAX_ENTRIES, load_run_bundle, save_run_bundle
+import numpy as np
+
+from ..datacenter.builder import build_fleet
+from ..environment.bms import BuildingManagementSystem
+from ..environment.conditions import EnvironmentSeries
 from ..errors import ConfigError, DataError
+from ..failures.engine import SimulationResult
+from ..failures.tickets import TicketLog
+from ..rng import RngRegistry
+from ..telemetry.io import load_array_bundle
+from ..telemetry.schema import TICKET_LOG_COLUMNS
+from ..units import SimCalendar
+
+if TYPE_CHECKING:
+    from ..config import SimulationConfig
 
 # Bump when the key payload or on-disk entry layout changes; keys embed
 # it, so old entries are simply never looked up again.
@@ -48,6 +59,13 @@ PIPELINE_SCHEMA = 1
 # Codecs an on-disk stage may declare.  ``None`` (no codec) keeps the
 # artifact memory-only.
 CODECS = ("run", "json", "text", "blocks")
+
+# Default per-stage bound on persisted entries kept by automatic pruning.
+DEFAULT_MAX_ENTRIES = 32
+
+# The run codec's bundle members: the declared TicketLog columns plus
+# the environment/BMS condition matrices.
+_RUN_CONDITIONS = ("env_temp_f", "env_rh", "bms_temp_f", "bms_rh")
 
 _SOURCE_FINGERPRINTS: dict[str, str] = {}
 
@@ -176,6 +194,84 @@ def execution_from_json(payload: Mapping[str, Any]) -> StageExecution:
     )
 
 
+def save_run_bundle(
+    entry: pathlib.Path,
+    result: SimulationResult,
+    meta: dict,
+    clock: Callable[[], float] = time.time,
+) -> pathlib.Path:
+    """Persist one run's stochastic columns under ``entry`` (the ``run`` codec).
+
+    Writes ``tickets.npz`` (ticket columns plus environment/BMS
+    matrices) and ``meta.json`` (the caller's ``meta`` extended with
+    ticket/fleet counts and a ``created`` stamp from ``clock``).  The
+    fleet and calendar are not stored: they are cheap and rebuilt
+    deterministically from the config on load.
+    """
+    entry.mkdir(parents=True, exist_ok=True)
+    log = result.tickets
+    np.savez_compressed(
+        entry / "tickets.npz",
+        env_temp_f=result.environment.temp_f,
+        env_rh=result.environment.rh,
+        bms_temp_f=result.bms.temp_f,
+        bms_rh=result.bms.rh,
+        **{name: getattr(log, name) for name in TICKET_LOG_COLUMNS},
+    )
+    full_meta = dict(meta)
+    full_meta.update({
+        "n_tickets": len(log),
+        "n_racks": result.fleet.n_racks,
+        "n_days": result.n_days,
+        "created": clock(),
+    })
+    (entry / "meta.json").write_text(json.dumps(full_meta, indent=2, default=str))
+    return entry
+
+
+def load_run_bundle(
+    entry: pathlib.Path,
+    config: "SimulationConfig",
+    meta: dict,
+) -> SimulationResult:
+    """Reconstitute a run from a bundle written by :func:`save_run_bundle`.
+
+    Fleet and calendar are rebuilt deterministically from ``config``;
+    tickets and environment/BMS matrices come from disk, so the loaded
+    path performs no simulation work (in particular it never calls
+    ``_generate_tickets``).  Raises :class:`DataError` when the bundle
+    is missing, truncated, garbled or inconsistent with its metadata.
+    """
+    arrays, _ = load_array_bundle(entry / "tickets.npz", mmap=False)
+    missing = [name for name in TICKET_LOG_COLUMNS + _RUN_CONDITIONS
+               if name not in arrays]
+    if missing:
+        raise DataError(f"run bundle {entry} is corrupt: missing {missing}")
+    log = TicketLog()
+    log.append_chunk(**{name: arrays[name] for name in TICKET_LOG_COLUMNS})
+    log.finalize()
+    if len(log) != int(meta.get("n_tickets", -1)):
+        raise DataError(
+            f"run bundle {entry} is corrupt: expected "
+            f"{meta.get('n_tickets')} tickets, loaded {len(log)}"
+        )
+    fleet = build_fleet(config.fleet, RngRegistry(config.seed))
+    calendar = SimCalendar(
+        start_day_of_week=config.start_day_of_week,
+        start_day_of_year=config.start_day_of_year,
+    )
+    environment = EnvironmentSeries.from_arrays(
+        fleet, arrays["env_temp_f"], arrays["env_rh"],
+    )
+    bms = BuildingManagementSystem(fleet).rebuild_log(
+        arrays["bms_temp_f"], arrays["bms_rh"],
+    )
+    return SimulationResult(
+        config=config, fleet=fleet, calendar=calendar,
+        environment=environment, bms=bms, tickets=log,
+    )
+
+
 def _stage_dirname(name: str) -> str:
     """Filesystem-safe directory name for a stage.
 
@@ -213,14 +309,14 @@ def _entry_mtime(entry: pathlib.Path) -> float:
 class ArtifactStore:
     """Two-tier (memory + optional disk) store of stage artifacts.
 
-    Generalizes :class:`~repro.cache.RunCache` from one opaque run blob
-    to per-stage content-addressed entries.  Layout on disk::
+    The one cache of the package: every command that simulates resolves
+    its run through the ``simulate`` stage on a store like this, so one
+    ``--cache-dir`` holds one set of runs.  Layout on disk::
 
         <root>/<stage-dir>/<key>/{artifact.*, meta.json}
 
-    The ``run`` codec reuses the exact :class:`RunCache` bundle format
-    via :func:`~repro.cache.save_run_bundle` /
-    :func:`~repro.cache.load_run_bundle`.
+    The ``run`` codec writes ``tickets.npz`` instead of ``artifact.*``
+    (see :func:`save_run_bundle` / :func:`load_run_bundle`).
 
     Args:
         root: directory for persisted artifacts, or None for a
@@ -260,8 +356,9 @@ class ArtifactStore:
         """``(tier, artifact)`` for a stored artifact, or None on miss.
 
         ``tier`` is ``"memory"`` or ``"disk"``.  A corrupt disk entry
-        (truncated write, garbled payload) is evicted and counts as a
-        miss — the store self-heals exactly like the run cache.
+        (truncated write, garbled payload, key mismatch) is evicted and
+        counts as a miss, so the caller recomputes and the next ``put``
+        rewrites it: the store self-heals.
         """
         if (stage.name, key) in self._memory:
             return "memory", self._memory[(stage.name, key)]

@@ -3,9 +3,9 @@
 One declarative place where ``simulate → aggregate → decisions →
 render`` is spelled out as :class:`~repro.pipeline.core.Stage` objects:
 
-* ``simulate`` — the run itself, persisted with the run-cache bundle
-  format (``codec="run"``), keyed by the config fingerprint and the
-  engine source;
+* ``simulate`` — the run itself, persisted as a ``tickets.npz`` bundle
+  (``codec="run"``), keyed by the config fingerprint and the engine
+  source; every command that simulates resolves its run here;
 * ``summary`` — the run's one-line summary (lets ``repro report`` print
   its header on a warm store without materializing the run);
 * ``rack_day:{all,hardware,disk}`` — the flattened λ/μ rack-day tables
@@ -31,6 +31,9 @@ Every stage declares the source modules that should invalidate it via
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import time
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
@@ -38,7 +41,6 @@ from ..autonomics.experiment import (
     DEFAULT_POLICIES,
     compute_autonomics_payload,
 )
-from ..cache import config_fingerprint
 from ..decisions.component_spares import ComponentProvisioner
 from ..decisions.spares import SpareProvisioner
 from ..errors import ConfigError
@@ -80,6 +82,35 @@ EVENT_BLOCKS_STAGE = "event_blocks"
 #: Spare-provisioning windows the catalogue always carries (daily and
 #: hourly — the two the paper's Q1 artifacts use).
 PROVISIONER_WINDOWS = (24.0, 1.0)
+
+
+#: Version of the :func:`config_fingerprint` payload.  Bump when its
+#: layout changes; keys embed it, so old entries are never looked up
+#: again.
+CONFIG_SCHEMA = 1
+
+
+def config_fingerprint(config: "SimulationConfig") -> dict:
+    """JSON-serializable, order-stable description of a config.
+
+    Everything that influences the run must appear here: the dataclass
+    tree covers seed, window, fleet knobs (including SKU mixes) and
+    fault base rates.
+    """
+    from .. import __version__
+
+    return {
+        "config": dataclasses.asdict(config),
+        "version": __version__,
+        "schema": CONFIG_SCHEMA,
+    }
+
+
+def config_key(config: "SimulationConfig") -> str:
+    """Stable content hash of a config (serve's fleet ids)."""
+    payload = json.dumps(config_fingerprint(config), sort_keys=True,
+                         separators=(",", ":"), default=str)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
 def render_stage_name(experiment_id: str) -> str:

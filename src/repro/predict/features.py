@@ -42,6 +42,7 @@ from ..stream.blocks import (
     StreamInventory,
     group_start_flags,
 )
+from ..telemetry.io import load_array_bundle
 from ..telemetry.schema import (
     INVENTORY_CSV,
     TICKET_LOG,
@@ -423,19 +424,14 @@ def load_feature_state(
     path = pathlib.Path(path)
     if not path.exists():
         raise DataError(f"no such feature checkpoint: {path}")
-    with np.load(path) as bundle:
-        if "meta_json" not in bundle:
-            raise DataError(f"{path} is not a feature checkpoint")
-        raw = bytes(bundle["meta_json"].tobytes())
-        arrays = {
-            key.split(".", 1)[1]: bundle[key]
-            for key in bundle.files
-            if key.startswith("state.")
-        }
-    try:
-        meta = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise DataError(f"{path}: corrupt checkpoint metadata ({error})") from None
+    bundle, meta = load_array_bundle(path, mmap=False)
+    if not meta:
+        raise DataError(f"{path} is not a feature checkpoint")
+    arrays = {
+        key.split(".", 1)[1]: array
+        for key, array in bundle.items()
+        if key.startswith("state.")
+    }
     if meta.get("schema") != PREDICT_CHECKPOINT_SCHEMA:
         raise DataError(
             f"{path}: feature checkpoint schema {meta.get('schema')!r} != "

@@ -162,7 +162,7 @@ def _sweep_worker(
     from ..pipeline import ArtifactStore, Pipeline, simulate_stage
 
     config = _seed_config(seed, scale, n_days)
-    store = ArtifactStore(cache_dir) if cache_dir else None
+    store = ArtifactStore(cache_dir)
     pipeline = Pipeline(
         [simulate_stage(config), _metrics_stage(metrics)], store=store,
     )
@@ -241,7 +241,7 @@ def _noise_sweep_worker(
     from .context import fielddata_stage
 
     config = _seed_config(seed, scale, n_days)
-    store = ArtifactStore(cache_dir) if cache_dir else None
+    store = ArtifactStore(cache_dir)
     stages = [simulate_stage(config)]
     stages.extend(fielddata_payload_stage(severity) for severity in severities)
     pipeline = Pipeline(stages, store=store)

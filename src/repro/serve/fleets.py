@@ -2,7 +2,7 @@
 
 A *fleet* is one simulation scenario (seed, scale, observation window)
 a tenant wants answers about.  Registration derives the fleet id from
-the full config fingerprint (:func:`repro.cache.config_key`), so the
+the full config fingerprint (:func:`repro.pipeline.stages.config_key`), so the
 same scenario registered twice — by one tenant or by many — maps to one
 id and therefore one set of artifacts in the shared store.  Tenants own
 only their *names* for fleets; the artifacts themselves are shared,
@@ -79,7 +79,7 @@ def normalize_fleet_params(raw: Mapping[str, Any]) -> dict[str, Any]:
 
 def fleet_spec(params: Mapping[str, Any]) -> FleetSpec:
     """Content-addressed :class:`FleetSpec` for normalized params."""
-    from ..cache import config_key
+    from ..pipeline.stages import config_key
 
     normalized = normalize_fleet_params(params)
     return FleetSpec(fleet_id=config_key(fleet_config(normalized)),

@@ -99,8 +99,8 @@ EXECUTOR_HOPS: frozenset[str] = frozenset({
 #: Declared package layering, lowest first.  A module may import from
 #: its own layer or below; importing *upward* is a ``layering`` finding
 #: unless the (module, layer) pair is listed in
-#: :data:`LAYERING_EXCEPTIONS`.  Top-level modules (``repro.cache``,
-#: ``repro.cli``, …) sit outside the order and are exempt on both ends.
+#: :data:`LAYERING_EXCEPTIONS`.  Top-level modules (``repro.cli``,
+#: ``repro.parallel``, …) sit outside the order and are exempt on both ends.
 #:
 #: Entries may be dotted to rank one module independently of its
 #: package: ``stream.blocks`` (the columnar event core) sits *below*

@@ -48,7 +48,7 @@ class ModuleInfo:
     Attributes:
         name: dotted module name, e.g. ``repro.telemetry.stats``.
         package: first package segment under ``repro`` ("" for
-            top-level modules like ``repro.cache``).
+            top-level modules like ``repro.config``).
         path: on-disk location (may be synthetic for snippet linting).
         relpath: stable package-relative path used in findings and
             baseline fingerprints.

@@ -40,7 +40,7 @@ def _imported_layer(target: str) -> str | None:
 
     Imports of a bare package (``repro.stream``) stay exempt — only
     module-level targets (``repro.stream.blocks``) are ranked — as do
-    top-level modules (``repro.cache``).
+    top-level modules (``repro.config``).
     """
     parts = target.split(".")
     if parts[0] != "repro" or len(parts) < 3:
@@ -61,7 +61,7 @@ class LayeringRule(Rule):
     )
 
     def applies_to(self, module: ModuleInfo) -> bool:
-        # Top-level modules (cache, cli, parallel, …) orchestrate across
+        # Top-level modules (cli, config, parallel, …) orchestrate across
         # layers by design and sit outside the order.
         return _module_layer(module.name) is not None
 

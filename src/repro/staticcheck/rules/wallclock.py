@@ -2,8 +2,8 @@
 
 A replayed run must produce byte-identical artifacts years later, and
 cached/checkpointed state must not embed "now".  Clocks therefore enter
-as injected callables (see :class:`repro.cache.RunCache`'s ``clock``
-parameter) — referencing ``time.time`` as a default argument is fine,
+as injected callables (see :class:`repro.pipeline.ArtifactStore`'s
+``clock`` parameter) — referencing ``time.time`` as a default argument is fine,
 *calling* it inline is not.
 """
 

@@ -88,10 +88,3 @@ def get_wholeprogram_rule(rule_id: str) -> WholeProgramRule:
             f"unknown whole-program rule {rule_id!r}; "
             f"have {sorted(_WP_REGISTRY)}"
         ) from None
-
-
-def rule_versions() -> dict[str, int]:
-    """Rule id -> semantic version (part of every cache key)."""
-    from .. import rules  # noqa: F401
-
-    return {rule_id: cls.version for rule_id, cls in _WP_REGISTRY.items()}

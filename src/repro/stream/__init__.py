@@ -23,7 +23,6 @@ from .blocks import (
     StreamInventory,
     StringPool,
     blocks_from_directory,
-    blocks_from_field_dataset,
     blocks_from_parts,
     blocks_from_result,
     directory_inventory,
@@ -68,7 +67,6 @@ __all__ = [
     "StreamingMu",
     "StringPool",
     "blocks_from_directory",
-    "blocks_from_field_dataset",
     "blocks_from_parts",
     "blocks_from_result",
     "calibrated_spare_fraction",

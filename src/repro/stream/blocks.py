@@ -16,7 +16,7 @@ flattener yields blocks and every consumer folds them in through its
 * :func:`follow_directory` — the same flatten over a still-growing
   export, released as far as the appended rows make it final;
 * :class:`BlockSegment` — a flattened stream spilled to a single
-  ``.npz`` bundle (via :func:`repro.cache.save_array_bundle`) and read
+  ``.npz`` bundle (via :func:`repro.telemetry.io.save_array_bundle`) and read
   back as zero-copy memory maps;
 * :class:`StringPool` — interning of rack/SKU/DC labels so segments and
   tables carry small integer codes plus one label table, never
@@ -685,24 +685,6 @@ def blocks_from_result(
     )
 
 
-def blocks_from_field_dataset(
-    dataset: "FieldDataset",
-    kinds: Iterable[EventKind] | None = None,
-    skip: int = 0,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> Iterator[EventBlock]:
-    """Flatten a (possibly degraded) field dataset, censoring included."""
-    return blocks_from_parts(
-        StreamInventory.from_field_dataset(dataset),
-        tickets=dataset.tickets,
-        temp_f=dataset.temp_f,
-        rh=dataset.rh,
-        kinds=kinds,
-        skip=skip,
-        block_size=block_size,
-    )
-
-
 def _load_directory(
     in_dir: pathlib.Path, config: "SimulationConfig",
 ) -> tuple[StreamInventory, "Fleet"]:
@@ -735,11 +717,15 @@ def directory_inventory(
 def _load_sensors(
     in_dir: pathlib.Path,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    from ..telemetry.io import load_array_bundle
+
     bundle_path = in_dir / "sensors.npz"
     if not bundle_path.exists():
         return None, None
-    with np.load(bundle_path) as bundle:
-        return bundle["temp_f"], bundle["rh"]
+    arrays, _ = load_array_bundle(bundle_path, mmap=False)
+    if "temp_f" not in arrays or "rh" not in arrays:
+        raise DataError(f"{bundle_path} is not a sensor bundle")
+    return arrays["temp_f"], arrays["rh"]
 
 
 def blocks_from_directory(
@@ -949,7 +935,7 @@ class BlockSegment:
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
         """Write the segment as one uncompressed ``.npz`` bundle."""
-        from ..cache import save_array_bundle
+        from ..telemetry.io import save_array_bundle
 
         meta = {
             "schema": SEGMENT_SCHEMA,
@@ -963,7 +949,7 @@ class BlockSegment:
     @staticmethod
     def load(path: str | pathlib.Path, mmap: bool = True) -> "BlockSegment":
         """Read a saved segment back (memory-mapped by default)."""
-        from ..cache import load_array_bundle
+        from ..telemetry.io import load_array_bundle
 
         arrays, meta = load_array_bundle(path, mmap=mmap)
         if meta.get("schema") != SEGMENT_SCHEMA or "events" not in arrays:

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..decisions.availability import AvailabilitySla
 from ..errors import DataError
+from ..telemetry.io import load_array_bundle
 from ..telemetry.schema import TICKET_LOG
 from .analyzer import StreamAnalyzer
 from .blocks import StreamInventory
@@ -129,25 +130,28 @@ def save_checkpoint(
     return path
 
 
-def checkpoint_meta(path: str | pathlib.Path) -> dict:
-    """The bundle's metadata (schema, fingerprint, position, ...)."""
-    path = pathlib.Path(path)
+def _read_checkpoint(path: pathlib.Path) -> tuple[dict[str, np.ndarray], dict]:
+    """``(arrays, meta)`` of a checkpoint bundle, schema-checked.
+
+    A missing, truncated or garbled file raises :class:`DataError`
+    naming it (see :func:`~repro.telemetry.io.load_array_bundle`).
+    """
     if not path.exists():
         raise DataError(f"no such checkpoint: {path}")
-    with np.load(path) as bundle:
-        if "meta_json" not in bundle:
-            raise DataError(f"{path} is not a stream checkpoint")
-        raw = bytes(bundle["meta_json"].tobytes())
-    try:
-        meta = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise DataError(f"{path}: corrupt checkpoint metadata ({error})") from None
+    arrays, meta = load_array_bundle(path, mmap=False)
+    if not meta:
+        raise DataError(f"{path} is not a stream checkpoint")
     if meta.get("schema") != STREAM_CHECKPOINT_SCHEMA:
         raise DataError(
             f"{path}: checkpoint schema {meta.get('schema')!r} != "
             f"{STREAM_CHECKPOINT_SCHEMA}"
         )
-    return meta
+    return arrays, meta
+
+
+def checkpoint_meta(path: str | pathlib.Path) -> dict:
+    """The bundle's metadata (schema, fingerprint, position, ...)."""
+    return _read_checkpoint(pathlib.Path(path))[1]
 
 
 def load_checkpoint(
@@ -171,7 +175,7 @@ def load_checkpoint(
             m)``).  Required exactly when the bundle has extras.
     """
     path = pathlib.Path(path)
-    meta = checkpoint_meta(path)
+    bundle, meta = _read_checkpoint(path)
     if meta["inventory_fingerprint"] != inventory.fingerprint():
         raise DataError(
             f"{path}: checkpoint was taken against a different inventory "
@@ -190,15 +194,14 @@ def load_checkpoint(
             "attached monitor, in attach order"
         )
     prefixes = list(_PARTS) + [f"extra{i}" for i in range(len(extras_meta))]
-    with np.load(path) as bundle:
-        arrays = {
-            prefix: {
-                key.split(".", 1)[1]: bundle[key]
-                for key in bundle.files
-                if key.startswith(f"{prefix}.")
-            }
-            for prefix in prefixes
+    arrays = {
+        prefix: {
+            key.split(".", 1)[1]: array
+            for key, array in bundle.items()
+            if key.startswith(f"{prefix}.")
         }
+        for prefix in prefixes
+    }
 
     analyzer = StreamAnalyzer(
         inventory,

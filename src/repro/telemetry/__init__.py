@@ -13,7 +13,6 @@ from .aggregate import (
 )
 from .io import (
     export_inventory_csv,
-    export_table_csv,
     export_tickets_csv,
     read_csv_table,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "day_feature_arrays",
     "ecdf",
     "export_inventory_csv",
-    "export_table_csv",
     "export_tickets_csv",
     "event_day_counts",
     "fano_factor",

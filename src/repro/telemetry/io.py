@@ -1,14 +1,23 @@
-"""CSV import/export for tickets, inventory and analysis tables.
+"""File interchange: CSV tickets/inventory and ``.npz`` array bundles.
 
 Lets downstream users pull the simulated "field data" into their own
 tooling (pandas, R, spreadsheets) and, conversely, lets the analysis
 layer run on externally produced ticket CSVs with the same layout.
+
+:func:`load_array_bundle` is the one reader of ``.npz`` files from
+outside the process — store entries, block segments, stream and feature
+checkpoints, field-data sensor bundles — so a truncated or garbled file
+always fails as a :class:`~repro.errors.DataError` naming it.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import pathlib
+import struct
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -17,7 +26,6 @@ from ..errors import DataError
 from ..failures.engine import SimulationResult
 from ..failures.tickets import FAULT_CATEGORY, FAULT_TYPES, TicketLog
 from .schema import INVENTORY_CSV, INVENTORY_CSV_COLUMNS, TICKET_CSV_COLUMNS
-from .table import Table
 
 #: CSV headers (the declared schema orders, re-exported under the names
 #: this module has always published).
@@ -112,39 +120,6 @@ def export_fleet_inventory_csv(
     return len(racks)
 
 
-def export_table_csv(table: Table, path: str | pathlib.Path,
-                     decode_categories: bool = True) -> int:
-    """Write any analysis :class:`Table` as CSV; returns the row count.
-
-    Categorical columns are written as labels by default (codes
-    otherwise).
-    """
-    path = pathlib.Path(path)
-    names = table.column_names
-    columns = []
-    for name in names:
-        if decode_categories and table.spec(name).is_categorical:
-            columns.append(table.decoded(name))
-        else:
-            columns.append(table.column(name))
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        for row in range(table.n_rows):
-            writer.writerow([
-                column[row] if isinstance(column[row], str)
-                else _format_cell(column[row])
-                for column in columns
-            ])
-    return table.n_rows
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.6g}"
-    return str(value)
-
-
 #: Default data-row chunk size of :func:`iter_csv_rows`.
 CSV_CHUNK_ROWS = 8192
 
@@ -214,3 +189,115 @@ def read_csv_table(path: str | pathlib.Path) -> dict[str, list[str]]:
                 columns[name].append(cell)
     assert columns is not None  # iter_csv_rows raises on empty files
     return columns
+
+
+def save_array_bundle(
+    path: str | pathlib.Path,
+    arrays: dict[str, np.ndarray],
+    meta: dict | None = None,
+) -> pathlib.Path:
+    """Write named arrays plus a JSON ``meta`` dict to one ``.npz`` file.
+
+    Uses the *uncompressed* npz container on purpose: ``np.savez`` stores
+    members with ``ZIP_STORED``, so :func:`load_array_bundle` can hand
+    back zero-copy memory maps of the raw array bytes.  The metadata
+    rides along as a ``meta_json`` uint8 member (same convention as the
+    stream checkpoints).
+    """
+    path = pathlib.Path(path)
+    if "meta_json" in arrays:
+        raise DataError("'meta_json' is reserved for bundle metadata")
+    payload = dict(arrays)
+    payload["meta_json"] = np.frombuffer(
+        json.dumps(meta or {}, sort_keys=True).encode("utf-8"), dtype=np.uint8,
+    )
+    with path.open("wb") as handle:
+        np.savez(handle, **payload)
+    return path
+
+
+def _npz_member_windows(path: pathlib.Path) -> dict[str, tuple[int, int]]:
+    """``name -> (absolute data offset, compress_type)`` per npz member.
+
+    The zip central directory records where each member's *local header*
+    starts; the variable-length local header (30 fixed bytes + name +
+    extra field) is parsed to find where the member's bytes begin.
+    """
+    windows: dict[str, tuple[int, int]] = {}
+    with zipfile.ZipFile(path) as bundle, path.open("rb") as raw:
+        for info in bundle.infolist():
+            raw.seek(info.header_offset)
+            header = raw.read(30)
+            if len(header) != 30 or header[:4] != b"PK\x03\x04":
+                raise DataError(f"{path}: corrupt zip member {info.filename!r}")
+            name_len, extra_len = struct.unpack("<HH", header[26:30])
+            offset = info.header_offset + 30 + name_len + extra_len
+            windows[info.filename] = (offset, info.compress_type)
+    return windows
+
+
+def load_array_bundle(
+    path: str | pathlib.Path,
+    mmap: bool = True,
+) -> tuple[dict[str, np.ndarray], dict]:
+    """Read back an ``.npz`` file: ``(arrays, meta)``.
+
+    ``meta`` is the decoded ``meta_json`` member (``{}`` when the file
+    has none, as in :func:`numpy.savez_compressed` bundles written
+    without one).  With ``mmap=True`` each stored member is returned as
+    a read-only :class:`numpy.memmap` onto the npz file itself (no copy,
+    lazily paged), falling back to a plain load for members that cannot
+    be mapped (compressed or pickled).  ``np.load(mmap_mode=...)`` does
+    not map npz members, hence the manual offset walk.  A missing,
+    truncated or garbled file raises :class:`DataError` naming it.
+    """
+    path = pathlib.Path(path)
+    if not path.exists():
+        raise DataError(f"no such bundle: {path}")
+    try:
+        arrays: dict[str, np.ndarray] = {}
+        windows = _npz_member_windows(path) if mmap else {}
+        with np.load(path, allow_pickle=False) as bundle:
+            for name in bundle.files:
+                member = f"{name}.npy"
+                mapped = None
+                if mmap and windows.get(member, (0, -1))[1] == zipfile.ZIP_STORED:
+                    mapped = _mmap_npy_member(path, windows[member][0])
+                arrays[name] = bundle[name] if mapped is None else mapped
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
+            zlib.error) as error:
+        raise DataError(f"bundle {path} is corrupt: {error}") from error
+    raw = arrays.pop("meta_json", None)
+    meta: dict = {}
+    if raw is not None:
+        try:
+            meta = json.loads(np.asarray(raw, dtype=np.uint8).tobytes().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            raise DataError(f"bundle {path} metadata is corrupt: {error}") from None
+        if not isinstance(meta, dict):
+            raise DataError(f"bundle {path} metadata is not a JSON object")
+    return arrays, meta
+
+
+def _mmap_npy_member(path: pathlib.Path, offset: int) -> np.ndarray | None:
+    """Memory-map one stored ``.npy`` member at ``offset``, or None."""
+    with path.open("rb") as handle:
+        handle.seek(offset)
+        try:
+            version = np.lib.format.read_magic(handle)
+            if version == (1, 0):
+                header = np.lib.format.read_array_header_1_0(handle)
+            elif version == (2, 0):
+                header = np.lib.format.read_array_header_2_0(handle)
+            else:
+                return None
+            shape, fortran, dtype = header
+        except (ValueError, OSError):
+            return None
+        if dtype.hasobject:
+            return None
+        data_offset = handle.tell()
+    return np.memmap(
+        path, dtype=dtype, mode="r", offset=data_offset, shape=shape,
+        order="F" if fortran else "C",
+    )

@@ -1,18 +1,63 @@
-"""Run-cache behaviour: keying, round-trip fidelity, eviction, CLI flags."""
+"""The run cache: the pipeline's ``simulate`` stage on a disk store.
+
+Every command that simulates (``simulate``, ``report``, ``corrupt``,
+``predict``, ``sweep``) resolves its run through this one stage, so
+these tests pin the store's caching of runs: keying, round-trip
+fidelity, self-healing of damaged entries, eviction and the CLI flags.
+"""
 
 import json
+import time
 
 import numpy as np
 import pytest
 
 import repro
-from repro.cache import (
-    DEFAULT_MAX_ENTRIES,
-    RunCache,
-    config_key,
-    simulate_cached,
-)
 from repro.errors import DataError
+from repro.pipeline import (
+    DEFAULT_MAX_ENTRIES,
+    ArtifactStore,
+    Pipeline,
+    config_key,
+    simulate_stage,
+)
+from repro.pipeline.core import load_run_bundle
+from repro.reporting.context import SIMULATE_STAGE
+from repro.telemetry.schema import TICKET_LOG_COLUMNS
+
+
+def stage_key(config):
+    """The simulate stage's content key for ``config``."""
+    return Pipeline([simulate_stage(config)]).key(SIMULATE_STAGE)
+
+
+def resolve(config, store):
+    """``(result, outcome)`` of the simulate stage on ``store``."""
+    pipeline = Pipeline([simulate_stage(config)], store=store)
+    result = pipeline.get(SIMULATE_STAGE)
+    return result, pipeline.executions[0].outcome
+
+
+def entry_dir(root, config):
+    """Directory of ``config``'s persisted run under store ``root``."""
+    return ArtifactStore(root).entry_dir(SIMULATE_STAGE, stage_key(config))
+
+
+def has(root, config):
+    return (entry_dir(root, config) / "meta.json").exists()
+
+
+def assert_same_run(fresh, cached):
+    for column in TICKET_LOG_COLUMNS:
+        assert np.array_equal(
+            getattr(fresh.tickets, column), getattr(cached.tickets, column)
+        ), column
+    assert np.array_equal(fresh.environment.temp_f, cached.environment.temp_f)
+    assert np.array_equal(fresh.environment.rh, cached.environment.rh)
+    assert np.array_equal(fresh.bms.temp_f, cached.bms.temp_f, equal_nan=True)
+    assert np.array_equal(fresh.bms.rh, cached.bms.rh, equal_nan=True)
+    assert len(fresh.bms.alarms) == len(cached.bms.alarms)
+    assert fresh.fleet.n_racks == cached.fleet.n_racks
 
 
 @pytest.fixture()
@@ -21,97 +66,109 @@ def config():
 
 
 @pytest.fixture()
-def cache(tmp_path):
-    return RunCache(tmp_path / "runcache")
+def root(tmp_path):
+    return tmp_path / "store"
 
 
 class TestKeying:
     def test_key_is_stable(self, config):
         assert config_key(config) == config_key(config)
+        assert stage_key(config) == stage_key(config)
+        # Pinned: serve's fleet ids in fleets.json are this hash, so the
+        # config payload must not change without a schema bump.
+        assert config_key(config) == "184e29f3b9faa3b259cecffe2aecb09c"
 
     def test_key_changes_with_seed(self, config):
         other = repro.SimulationConfig.small(seed=10, scale=0.04, n_days=60)
         assert config_key(config) != config_key(other)
+        assert stage_key(config) != stage_key(other)
 
     def test_key_changes_with_fleet_knobs(self, config):
         other = repro.SimulationConfig.small(seed=9, scale=0.05, n_days=60)
         assert config_key(config) != config_key(other)
+        assert stage_key(config) != stage_key(other)
 
     def test_key_changes_with_version(self, config, monkeypatch):
         import repro as package
 
-        before = config_key(config)
+        before = config_key(config), stage_key(config)
         monkeypatch.setattr(package, "__version__", "999.0.0")
-        assert config_key(config) != before
+        assert config_key(config) != before[0]
+        assert stage_key(config) != before[1]
 
 
 class TestRoundTrip:
-    def test_miss_then_hit(self, config, cache):
-        assert not cache.has(config)
-        fresh, hit_a = simulate_cached(config, cache)
-        assert not hit_a
-        assert cache.has(config)
-        cached, hit_b = simulate_cached(config, cache)
-        assert hit_b
+    def test_miss_then_hit(self, config, root):
+        assert not has(root, config)
+        fresh, outcome_a = resolve(config, ArtifactStore(root))
+        assert outcome_a == "computed"
+        assert has(root, config)
+        cached, outcome_b = resolve(config, ArtifactStore(root))
+        assert outcome_b == "disk"
+        assert_same_run(fresh, cached)
 
-        for column in ("day_index", "start_hour_abs", "rack_index",
-                       "server_offset", "fault_code", "false_positive",
-                       "repair_hours", "batch_id"):
-            assert np.array_equal(
-                getattr(fresh.tickets, column), getattr(cached.tickets, column)
-            ), column
-        assert np.array_equal(fresh.environment.temp_f, cached.environment.temp_f)
-        assert np.array_equal(fresh.environment.rh, cached.environment.rh)
-        assert np.array_equal(fresh.bms.temp_f, cached.bms.temp_f, equal_nan=True)
-        assert np.array_equal(fresh.bms.rh, cached.bms.rh, equal_nan=True)
-        assert len(fresh.bms.alarms) == len(cached.bms.alarms)
-        assert fresh.fleet.n_racks == cached.fleet.n_racks
-
-    def test_warm_path_performs_no_simulation(self, config, cache, monkeypatch):
-        """A cache hit must never enter the ticket generator."""
-        simulate_cached(config, cache)  # warm
+    def test_warm_path_performs_no_simulation(self, config, root,
+                                              monkeypatch):
+        """A disk hit must never enter the ticket generator."""
+        resolve(config, ArtifactStore(root))  # warm
 
         import repro.failures.engine as engine
 
         def explode(*args, **kwargs):
-            raise AssertionError("warm cache path called _generate_tickets")
+            raise AssertionError("warm store path called _generate_tickets")
 
         monkeypatch.setattr(engine, "_generate_tickets", explode)
-        result, was_hit = simulate_cached(config, cache)
-        assert was_hit
+        result, outcome = resolve(config, ArtifactStore(root))
+        assert outcome == "disk"
         assert len(result.tickets) > 0
 
-    def test_no_cache_is_plain_simulate(self, config):
-        result, was_hit = simulate_cached(config, None)
-        assert not was_hit
-        assert len(result.tickets) > 0
+    def test_no_cache_is_plain_simulate(self, config, root):
+        result, outcome = resolve(config, ArtifactStore())
+        assert outcome == "computed"
+        assert_same_run(repro.simulate(config), result)
+        assert not root.exists()
 
-    def test_corrupt_meta_rejected(self, config, cache):
-        simulate_cached(config, cache)
-        entry = cache.entry_dir(config_key(config))
+    def test_corrupt_meta_rejected(self, config, root):
+        """A parseable meta.json with the wrong key is a miss: the entry
+        is evicted, the run recomputed and the entry rewritten."""
+        resolve(config, ArtifactStore(root))
+        entry = entry_dir(root, config)
         meta = json.loads((entry / "meta.json").read_text())
-        meta["key"] = "not-the-right-key"
+        meta["key"] = "f" * 32
         (entry / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(DataError):
-            cache.get(config)
+        _, outcome = resolve(config, ArtifactStore(root))
+        assert outcome == "computed"
+        meta = json.loads((entry / "meta.json").read_text())
+        assert meta["key"] == stage_key(config)
 
-    def test_corrupt_bundle_named_in_error(self, config, cache):
-        simulate_cached(config, cache)
-        entry = cache.entry_dir(config_key(config))
+    def test_corrupt_bundle_named_in_error(self, config, root):
+        resolve(config, ArtifactStore(root))
+        entry = entry_dir(root, config)
+        meta = json.loads((entry / "meta.json").read_text())
         (entry / "tickets.npz").write_bytes(b"garbage")
-        with pytest.raises(DataError, match="corrupt"):
-            cache.get(config)
+        with pytest.raises(DataError, match="corrupt") as raised:
+            load_run_bundle(entry, config, meta)
+        assert str(entry / "tickets.npz") in str(raised.value)
 
-    def test_simulate_cached_self_heals_corrupt_entry(self, config, cache):
-        fresh, _ = simulate_cached(config, cache)
-        entry = cache.entry_dir(config_key(config))
-        (entry / "tickets.npz").write_bytes(b"garbage")
-        healed, was_hit = simulate_cached(config, cache)
-        assert not was_hit  # corruption counts as a miss...
-        assert np.array_equal(fresh.tickets.day_index, healed.tickets.day_index)
-        repaired, was_hit = simulate_cached(config, cache)
-        assert was_hit  # ...and the entry is rewritten.
-        assert np.array_equal(fresh.tickets.day_index, repaired.tickets.day_index)
+    def test_truncated_bundle_named_in_error(self, config, root):
+        resolve(config, ArtifactStore(root))
+        entry = entry_dir(root, config)
+        meta = json.loads((entry / "meta.json").read_text())
+        bundle = entry / "tickets.npz"
+        bundle.write_bytes(bundle.read_bytes()[:2000])
+        with pytest.raises(DataError, match="corrupt") as raised:
+            load_run_bundle(entry, config, meta)
+        assert str(bundle) in str(raised.value)
+
+    def test_garbage_bundle_self_heals(self, config, root):
+        fresh, _ = resolve(config, ArtifactStore(root))
+        (entry_dir(root, config) / "tickets.npz").write_bytes(b"garbage")
+        healed, outcome = resolve(config, ArtifactStore(root))
+        assert outcome == "computed"  # corruption counts as a miss...
+        assert_same_run(fresh, healed)
+        repaired, outcome = resolve(config, ArtifactStore(root))
+        assert outcome == "disk"  # ...and the entry is rewritten.
+        assert_same_run(fresh, repaired)
 
 
 class TestEviction:
@@ -121,73 +178,78 @@ class TestEviction:
             for s in range(n)
         ]
 
-    def test_prune_keeps_newest(self, cache):
+    def test_prune_keeps_newest(self, root):
         configs = self._configs(3)
+        store = ArtifactStore(root)
         for cfg in configs:
-            simulate_cached(cfg, cache)
-        assert len(cache.entries()) == 3
-        removed = cache.prune(max_entries=1)
+            resolve(cfg, store)
+        assert len(store.stage_entries(SIMULATE_STAGE)) == 3
+        removed = store.prune(max_entries=1)
         assert removed == 2
-        assert not cache.has(configs[0])
-        assert cache.has(configs[2])
+        assert not has(root, configs[0])
+        assert has(root, configs[2])
 
-    def test_put_auto_prunes(self, cache, config):
-        result = repro.simulate(config)
-        for _ in range(2):
-            cache.put(result, max_entries=1)
-        assert len(cache.entries()) == 1
+    def test_put_auto_prunes(self, root):
+        store = ArtifactStore(root, max_entries=1)
+        for cfg in self._configs(2):
+            resolve(cfg, store)
+        assert len(store.stage_entries(SIMULATE_STAGE)) == 1
 
-    def test_default_bound(self):
+    def test_default_bound(self, root):
         assert DEFAULT_MAX_ENTRIES >= 1
+        assert ArtifactStore(root).max_entries == DEFAULT_MAX_ENTRIES
 
-    def test_clear(self, cache, config):
-        simulate_cached(config, cache)
-        cache.clear()
-        assert cache.entries() == []
-        assert not cache.has(config)
+    def test_clear(self, config, root):
+        store = ArtifactStore(root)
+        resolve(config, store)
+        store.clear()
+        assert store.stage_entries(SIMULATE_STAGE) == []
+        assert not has(root, config)
+        assert resolve(config, store)[1] == "computed"
 
-    def test_negative_prune_rejected(self, cache):
+    def test_negative_prune_rejected(self, config, root):
+        store = ArtifactStore(root)
+        resolve(config, store)
         with pytest.raises(DataError):
-            cache.prune(max_entries=-1)
+            store.prune(max_entries=-1)
 
 
 class TestClockInjection:
     def test_default_clock_is_wall_time(self, tmp_path):
-        import time
+        assert ArtifactStore(tmp_path)._clock is time.time
 
-        assert RunCache(tmp_path)._clock is time.time
-
-    def test_injected_clock_stamps_metadata(self, tmp_path, config):
+    def test_injected_clock_stamps_metadata(self, root, config):
         ticks = iter([1000.0, 2000.0])
-        cache = RunCache(tmp_path / "runcache", clock=lambda: next(ticks))
-        result = repro.simulate(config)
-        entry = cache.put(result)
-        meta = json.loads((entry / "meta.json").read_text())
+        resolve(config, ArtifactStore(root, clock=lambda: next(ticks)))
+        meta = json.loads((entry_dir(root, config) / "meta.json").read_text())
         assert meta["created"] == 1000.0
 
     def test_fake_clock_makes_put_replayable(self, tmp_path, config):
-        """Two caches fed the same fake clock write identical metadata."""
+        """Two stores fed the same fake clock write identical metadata."""
         stamps = []
         for name in ("a", "b"):
-            cache = RunCache(tmp_path / name, clock=lambda: 42.5)
-            entry = cache.put(repro.simulate(config))
-            stamps.append(json.loads((entry / "meta.json").read_text())["created"])
+            resolve(config, ArtifactStore(tmp_path / name, clock=lambda: 42.5))
+            meta = json.loads(
+                (entry_dir(tmp_path / name, config) / "meta.json").read_text()
+            )
+            stamps.append(meta["created"])
         assert stamps == [42.5, 42.5]
 
 
 class TestCliIntegration:
+    ARGS = ["--scale", "0.02", "--days", "30"]
+
     def test_cache_dir_flag_populates_cache(self, tmp_path, capsys):
         from repro.cli import main
 
         cache_root = tmp_path / "cc"
-        out = tmp_path / "sim"
-        argv = ["simulate", "--scale", "0.02", "--days", "30",
-                "--out", str(out), "--cache-dir", str(cache_root)]
+        argv = ["simulate", *self.ARGS, "--out", str(tmp_path / "sim"),
+                "--cache-dir", str(cache_root)]
         assert main(argv) == 0
-        assert len(RunCache(cache_root).entries()) == 1
+        assert len(ArtifactStore(cache_root).stage_entries(SIMULATE_STAGE)) == 1
         capsys.readouterr()
 
-        # Second run hits the cache and says so.
+        # Second run hits the store and says so.
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert "loaded from run cache" in captured.err
@@ -196,80 +258,105 @@ class TestCliIntegration:
         from repro.cli import main
 
         cache_root = tmp_path / "cc"
-        argv = ["simulate", "--scale", "0.02", "--days", "30",
-                "--out", str(tmp_path / "sim"),
+        argv = ["simulate", *self.ARGS, "--out", str(tmp_path / "sim"),
                 "--cache-dir", str(cache_root), "--no-cache"]
         assert main(argv) == 0
-        assert RunCache(cache_root).entries() == []
+        assert ArtifactStore(cache_root).stage_entries(SIMULATE_STAGE) == []
         captured = capsys.readouterr()
         assert "loaded from run cache" not in captured.err
+
+    def test_report_reuses_the_simulated_run(self, tmp_path, capsys):
+        """``simulate`` and ``report`` share one run in one store."""
+        from repro.cli import main
+
+        cache_root = tmp_path / "cc"
+        assert main(["simulate", *self.ARGS, "--out", str(tmp_path / "sim"),
+                     "--cache-dir", str(cache_root)]) == 0
+        capsys.readouterr()
+        assert main(["report", "table2", *self.ARGS,
+                     "--cache-dir", str(cache_root)]) == 0
+        assert "(loaded from run cache)" in capsys.readouterr().err
+        manifest = json.loads((cache_root / "manifest.json").read_text())
+        outcomes = [e["outcome"] for e in manifest["executions"]
+                    if e["stage"] == SIMULATE_STAGE]
+        assert outcomes == ["disk"]
+        assert len(list(cache_root.rglob("tickets.npz"))) == 1
+
+    def test_engine_edit_recomputes_the_run(self, tmp_path, capsys,
+                                            monkeypatch):
+        """An edit to the engine's source invalidates a stored run."""
+        import repro.pipeline.core as core
+        from repro.cli import main
+
+        cache_root = tmp_path / "cc"
+        argv = ["simulate", *self.ARGS, "--out", str(tmp_path / "sim"),
+                "--cache-dir", str(cache_root)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        original = core.source_fingerprint
+        monkeypatch.setattr(
+            core, "source_fingerprint",
+            lambda module: ("edited" if module == "repro.failures.engine"
+                            else original(module)),
+        )
+        assert main(argv) == 0
+        assert "loaded from run cache" not in capsys.readouterr().err
+        assert len(ArtifactStore(cache_root).stage_entries(SIMULATE_STAGE)) == 2
 
 
 class TestCrashedWriterHardening:
     """A writer killed mid-``put`` must read back as a miss, not a crash."""
 
-    def test_missing_meta_is_a_miss_and_evicts(self, config, cache):
-        simulate_cached(config, cache)
-        entry = cache.entry_dir(config_key(config))
+    def test_missing_meta_is_a_miss_and_evicts(self, config, root):
+        resolve(config, ArtifactStore(root))
+        entry = entry_dir(root, config)
         (entry / "meta.json").unlink()
-        assert cache.get(config) is None
+        stage = simulate_stage(config)
+        assert ArtifactStore(root).fetch(stage, stage_key(config)) is None
         assert not entry.exists()
 
-    def test_truncated_meta_is_a_miss_and_evicts(self, config, cache):
-        simulate_cached(config, cache)
-        entry = cache.entry_dir(config_key(config))
+    def test_truncated_meta_is_a_miss_and_evicts(self, config, root):
+        resolve(config, ArtifactStore(root))
+        entry = entry_dir(root, config)
         (entry / "meta.json").write_text('{"key": "abc123')  # cut mid-write
-        assert cache.get(config) is None
+        stage = simulate_stage(config)
+        assert ArtifactStore(root).fetch(stage, stage_key(config)) is None
         assert not entry.exists()
 
-    def test_non_dict_meta_is_a_miss_and_evicts(self, config, cache):
-        simulate_cached(config, cache)
-        entry = cache.entry_dir(config_key(config))
+    def test_non_dict_meta_is_a_miss_and_evicts(self, config, root):
+        resolve(config, ArtifactStore(root))
+        entry = entry_dir(root, config)
         (entry / "meta.json").write_text('["not", "a", "dict"]')
-        assert cache.get(config) is None
+        stage = simulate_stage(config)
+        assert ArtifactStore(root).fetch(stage, stage_key(config)) is None
         assert not entry.exists()
 
-    def test_missing_bundle_is_a_miss_and_evicts(self, config, cache):
-        simulate_cached(config, cache)
-        entry = cache.entry_dir(config_key(config))
+    def test_missing_bundle_is_a_miss_and_evicts(self, config, root):
+        fresh, _ = resolve(config, ArtifactStore(root))
+        entry = entry_dir(root, config)
         (entry / "tickets.npz").unlink()
-        assert cache.get(config) is None
+        stage = simulate_stage(config)
+        assert ArtifactStore(root).fetch(stage, stage_key(config)) is None
         assert not entry.exists()
+        healed, outcome = resolve(config, ArtifactStore(root))
+        assert outcome == "computed"
+        assert_same_run(fresh, healed)
 
-    def test_simulate_cached_recovers_after_crash(self, config, cache):
-        fresh, _ = simulate_cached(config, cache)
-        (cache.entry_dir(config_key(config)) / "meta.json").unlink()
-        healed, was_hit = simulate_cached(config, cache)
-        assert not was_hit  # wreckage counted as a miss...
-        assert np.array_equal(fresh.tickets.day_index, healed.tickets.day_index)
-        again, was_hit = simulate_cached(config, cache)
-        assert was_hit  # ...and the entry was rewritten cleanly.
+    def test_recovers_after_crash(self, config, root):
+        fresh, _ = resolve(config, ArtifactStore(root))
+        (entry_dir(root, config) / "meta.json").unlink()
+        healed, outcome = resolve(config, ArtifactStore(root))
+        assert outcome == "computed"  # wreckage counted as a miss...
+        assert_same_run(fresh, healed)
+        _, outcome = resolve(config, ArtifactStore(root))
+        assert outcome == "disk"  # ...and the entry was rewritten cleanly.
 
-    def test_prune_sweeps_half_written_entries(self, config, cache):
-        simulate_cached(config, cache)
-        wreck = cache.entry_dir("0" * 32)
+    def test_prune_sweeps_half_written_entries(self, config, root):
+        store = ArtifactStore(root)
+        resolve(config, store)
+        wreck = store.stage_dir(SIMULATE_STAGE) / ("0" * 32)
         wreck.mkdir(parents=True)
         (wreck / "tickets.npz").write_bytes(b"partial")  # no meta.json
-        assert cache.prune(max_entries=8) == 1
+        assert store.prune(max_entries=8) == 1
         assert not wreck.exists()
-        assert len(cache.entries()) == 1  # the good entry survives
-
-    def test_prune_leaves_foreign_directories_alone(self, config, cache):
-        """Non-key-shaped dirs (e.g. a co-located artifact store) stay."""
-        simulate_cached(config, cache)
-        foreign = cache.root / "provisioner-24h"
-        foreign.mkdir(parents=True)
-        (foreign / "data.json").write_text("{}")
-        assert cache.prune(max_entries=8) == 0
-        assert foreign.exists()
-
-    def test_complete_but_wrong_entry_still_raises(self, config, cache):
-        """Hardening must not swallow real corruption: a parseable meta
-        with the wrong key stays a DataError (see TestRoundTrip)."""
-        simulate_cached(config, cache)
-        entry = cache.entry_dir(config_key(config))
-        meta = json.loads((entry / "meta.json").read_text())
-        meta["key"] = "f" * 32
-        (entry / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(DataError, match="key mismatch"):
-            cache.get(config)
+        assert len(store.stage_entries(SIMULATE_STAGE)) == 1  # good one stays

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis.clustering import Cluster, cluster_summary, clusters_from_tree
+from repro.analysis.clustering import Cluster, clusters_from_tree
 from repro.analysis.cart.tree import RegressionTree, TreeParams
 from repro.analysis.multi_factor import MultiFactorModel
 from repro.analysis.single_factor import SingleFactorModel
 from repro.decisions.sku_ranking import default_q2_tree_params
 from repro.decisions.tco import TcoModel
-from repro.errors import DataError
 from repro.reporting.experiments import run_all
 from repro.telemetry.schema import FeatureKind, FeatureSpec, Schema
 from repro.telemetry.table import Table
@@ -63,16 +62,6 @@ class TestClusterHelpers:
     def test_clusters_cover_all_rows(self, clusters):
         found, n_rows = clusters
         assert sum(c.size for c in found) == n_rows
-
-    def test_summary_lists_each_cluster(self, clusters):
-        found, _ = clusters
-        text = cluster_summary(found)
-        assert text.startswith(f"{len(found)} clusters:")
-        assert text.count("\n") == len(found)
-
-    def test_summary_of_nothing_rejected(self):
-        with pytest.raises(DataError):
-            cluster_summary([])
 
     def test_cluster_size_property(self):
         cluster = Cluster(cluster_id=1, member_rows=np.array([1, 5, 9]),

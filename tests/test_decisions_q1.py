@@ -5,7 +5,6 @@ import pytest
 
 from repro.decisions.availability import (
     AvailabilitySla,
-    overprovision_fraction,
     required_spares,
     uniform_fraction_for_pool,
 )
@@ -50,11 +49,6 @@ class TestAvailabilityMath:
         assert uniform_fraction_for_pool(
             fractions, AvailabilitySla(0.9)
         ) == pytest.approx(0.3)
-
-    def test_overprovision_fraction(self):
-        assert overprovision_fraction(5.0, 20.0) == 0.25
-        with pytest.raises(DataError):
-            overprovision_fraction(1.0, 0.0)
 
 
 @pytest.fixture(scope="module")

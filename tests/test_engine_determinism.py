@@ -13,15 +13,15 @@ Two layers of protection:
   of the old engine's value.
 
 Plus structural determinism: identical configs give bit-identical
-ticket logs, the run cache round-trips exactly, and the vectorized
-expected-counts matrix agrees with the per-day path column by column.
+ticket logs, the store's simulate stage round-trips a run exactly, and
+the vectorized expected-counts matrix agrees with the per-day path
+column by column.
 """
 
 import numpy as np
 import pytest
 
 import repro
-from repro.cache import RunCache, simulate_cached
 from repro.failures.tickets import FAULT_TYPES
 from repro.telemetry import mu_matrix
 
@@ -189,11 +189,17 @@ class TestBitIdentity:
             ), column
 
     def test_cache_round_trip_identical(self, tmp_path):
+        from repro.pipeline import ArtifactStore, Pipeline, simulate_stage
+
         config = repro.SimulationConfig.small(seed=101, scale=0.10, n_days=180)
-        cache = RunCache(tmp_path / "cache")
-        fresh, hit_a = simulate_cached(config, cache)
-        cached, hit_b = simulate_cached(config, cache)
-        assert (hit_a, hit_b) == (False, True)
+        runs, outcomes = [], []
+        for _ in range(2):
+            pipeline = Pipeline([simulate_stage(config)],
+                                store=ArtifactStore(tmp_path / "cache"))
+            runs.append(pipeline.get("simulate"))
+            outcomes.append(pipeline.executions[0].outcome)
+        fresh, cached = runs
+        assert outcomes == ["computed", "disk"]
         for column in TICKET_COLUMNS:
             assert np.array_equal(
                 getattr(fresh.tickets, column), getattr(cached.tickets, column)

@@ -129,6 +129,17 @@ class TestDatasetRoundTrip:
         with pytest.raises(DataError, match="sensor bundle"):
             load_field_dataset(tmp_path / "a", tiny_run.config)
 
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_damaged_sensor_bundle_named(self, tiny_run, tmp_path, damage):
+        paths = export_dataset(FieldDataset.from_result(tiny_run),
+                               tmp_path / "a")
+        data = paths["sensors"].read_bytes()
+        paths["sensors"].write_bytes(
+            data[: len(data) // 2] if damage == "truncated" else b"garbage")
+        with pytest.raises(DataError, match="corrupt") as raised:
+            load_field_dataset(tmp_path / "a", tiny_run.config)
+        assert str(paths["sensors"]) in str(raised.value)
+
     def test_wrong_config_rejected(self, tiny_run, tmp_path):
         from repro.config import SimulationConfig
 

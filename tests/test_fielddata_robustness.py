@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import DataError, ReproError
 from repro.fielddata.robustness import (
     DEFAULT_SEVERITIES,
     METRIC_NAMES,
     degrade_and_clean,
     headline_metrics,
-    noise_sweep_result,
-    render_noise_points,
+    noise_point_payload,
+    render_noise_payloads,
 )
-from repro.reporting.sweeps import HEADLINE_METRICS
+from repro.reporting.sweeps import HEADLINE_METRICS, run_noise_sweep
 
 
 def _same_value(a: float, b: float) -> bool:
@@ -52,23 +52,24 @@ class TestSeverityZero:
 
 class TestNoiseSweep:
     def test_points_cover_requested_severities(self, tiny_run):
-        points = noise_sweep_result(tiny_run, (0.0, 1.0))
-        assert [point.severity for point in points] == [0.0, 1.0]
-        for point in points:
-            assert set(point.metrics) == set(METRIC_NAMES)
+        payloads = [noise_point_payload(tiny_run, s) for s in (0.0, 1.0)]
+        assert [payload["severity"] for payload in payloads] == [0.0, 1.0]
+        for payload in payloads:
+            assert set(payload["metrics"]) == set(METRIC_NAMES)
 
     def test_corruption_actually_bites(self, tiny_run):
-        points = noise_sweep_result(tiny_run, (0.0, 1.0))
+        points = [degrade_and_clean(tiny_run, s)[1] for s in (0.0, 1.0)]
         assert points[1].cleaning.racks_censored > 0
         assert points[1].cleaning.cells_imputed > points[0].cleaning.cells_imputed
 
-    def test_empty_severities_rejected(self, tiny_run):
-        with pytest.raises(ConfigError):
-            noise_sweep_result(tiny_run, ())
+    def test_empty_severities_rejected(self):
+        with pytest.raises(DataError, match="severity"):
+            run_noise_sweep([11], ())
 
     def test_render_contains_table_and_verdicts(self, tiny_run):
-        points = noise_sweep_result(tiny_run, DEFAULT_SEVERITIES)
-        text = render_noise_points(points)
+        text = render_noise_payloads(
+            [noise_point_payload(tiny_run, s) for s in DEFAULT_SEVERITIES]
+        )
         for name in METRIC_NAMES:
             assert name in text
         assert "sev=0.00" in text

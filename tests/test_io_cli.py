@@ -8,12 +8,10 @@ from repro.cli import build_parser, main
 from repro.errors import DataError
 from repro.telemetry.io import (
     export_inventory_csv,
-    export_table_csv,
     export_tickets_csv,
     iter_csv_rows,
     read_csv_table,
 )
-from repro.telemetry.aggregate import rack_static_table
 
 
 class TestTicketExport:
@@ -42,23 +40,6 @@ class TestInventoryExport:
         columns = read_csv_table(path)
         assert len(set(columns["rack_id"])) == n
         assert set(columns["sku"]) <= {f"S{i}" for i in range(1, 8)}
-
-
-class TestTableExport:
-    def test_decoded_labels(self, tiny_run, tmp_path):
-        table = rack_static_table(tiny_run)
-        path = tmp_path / "racks.csv"
-        n = export_table_csv(table, path)
-        assert n == table.n_rows
-        columns = read_csv_table(path)
-        assert set(columns["dc"]) <= {"DC1", "DC2"}
-
-    def test_codes_when_not_decoding(self, tiny_run, tmp_path):
-        table = rack_static_table(tiny_run)
-        path = tmp_path / "racks_codes.csv"
-        export_table_csv(table, path, decode_categories=False)
-        columns = read_csv_table(path)
-        assert all(value.isdigit() for value in columns["dc"][:10])
 
 
 class TestReadCsv:
@@ -157,6 +138,23 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--seeds"])
         assert "--seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["stream", "--jobs", "2"],
+        ["stream", "--cache-dir", "store"],
+        ["stream", "--no-cache"],
+        ["autonomics", "--jobs", "2"],
+        ["autonomics", "--cache-dir", "store"],
+        ["autonomics", "--no-cache"],
+        ["corrupt", "--jobs", "2"],
+        ["predict", "train", "--jobs", "2"],
+        ["pipeline", "dag", "--jobs", "2"],
+    ])
+    def test_options_no_command_reads_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCli:

@@ -116,6 +116,20 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="fingerprint|inventory"):
             load_feature_state(path, other)
 
+    @pytest.mark.parametrize("damage", ["truncated", "garbage"])
+    def test_damaged_bundle_named(self, tiny_run, inventory, tmp_path,
+                                  damage):
+        features = StreamingFeatures(inventory)
+        features.update_block(next(blocks_from_result(tiny_run)))
+        path = tmp_path / "features.npz"
+        save_feature_state(features, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2] if damage == "truncated"
+                         else b"garbage")
+        with pytest.raises(DataError, match="corrupt") as raised:
+            load_feature_state(path, inventory)
+        assert str(path) in str(raised.value)
+
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_resume_bit_identical_to_continuous(self, tiny_run, inventory,

@@ -15,7 +15,6 @@ from repro.environment.sensors import (
     Sensor,
     SensorKind,
     SensorLevel,
-    ahu_pressure_sensor,
     rack_sensor_pair,
 )
 from repro.errors import ConfigError
@@ -52,13 +51,6 @@ class TestSensor:
         assert temp.kind is SensorKind.INLET_TEMP
         assert humidity.kind is SensorKind.RELATIVE_HUMIDITY
         assert temp.location == "DC1-R001"
-
-    def test_ahu_sensor(self):
-        sensor = ahu_pressure_sensor("DC1", 3)
-        assert sensor.kind is SensorKind.PRESSURE
-        assert sensor.level is SensorLevel.AHU
-        with pytest.raises(ConfigError):
-            ahu_pressure_sensor("DC1", -1)
 
 
 class TestAlarmThresholds:

@@ -40,7 +40,7 @@ def make_module(source, name="repro.analysis.fixture"):
 class TestModuleInfo:
     def test_package_extraction(self):
         assert make_module("x = 1").package == "analysis"
-        assert make_module("x = 1", name="repro.cache").package == ""
+        assert make_module("x = 1", name="repro.config").package == ""
 
     def test_bindings_resolve_aliases(self):
         module = make_module("import numpy as np\nfrom datetime import datetime\n")
@@ -106,7 +106,7 @@ class TestRegistry:
 
 class TestGraph:
     def test_module_name_for(self):
-        assert module_name_for(SRC / "cache.py", SRC) == "repro.cache"
+        assert module_name_for(SRC / "config.py", SRC) == "repro.config"
         assert module_name_for(SRC / "__init__.py", SRC) == "repro"
         assert (module_name_for(SRC / "telemetry" / "stats.py", SRC)
                 == "repro.telemetry.stats")
@@ -114,13 +114,13 @@ class TestGraph:
     def test_collect_modules_covers_package(self):
         modules = collect_modules(SRC)
         names = {module.name for module in modules}
-        assert "repro.cache" in names
+        assert "repro.config" in names
         assert "repro.staticcheck.framework" in names
 
     def test_import_graph_edges(self):
         graph = ImportGraph(collect_modules(SRC))
         assert any(target.startswith("repro.failures")
-                   for target in graph.imports_of("repro.cache"))
+                   for target in graph.imports_of("repro.config"))
 
 
 class TestBaseline:

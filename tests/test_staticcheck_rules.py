@@ -217,13 +217,13 @@ class TestLayering:
                              rule="layering")
 
     def test_top_level_module_exempt(self):
-        # cache, cli, parallel… orchestrate across layers by design.
+        # cli, config, parallel… orchestrate across layers by design.
         assert not rules_hit("from repro.reporting import tables\n",
-                             module="repro.cache",
+                             module="repro.parallel",
                              rule="layering")
 
     def test_top_level_import_target_not_ranked(self):
-        assert not rules_hit("from repro import cache\n",
+        assert not rules_hit("from repro import parallel\n",
                              module="repro.reporting.fixture",
                              rule="layering")
 

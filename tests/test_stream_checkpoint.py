@@ -104,6 +104,30 @@ class TestRefusals:
         with pytest.raises(DataError, match="not a stream checkpoint"):
             load_checkpoint(path, inventory)
 
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty",
+                                        "flipped"])
+    @pytest.mark.parametrize("reader", ["meta", "load"])
+    def test_damaged_bundle_named(self, half_streamed, tmp_path, damage,
+                                  reader):
+        inventory, analyzer = half_streamed
+        path = save_checkpoint(analyzer, tmp_path / "c.npz")
+        data = path.read_bytes()
+        middle = len(data) // 2
+        path.write_bytes({
+            "truncated": data[:middle],
+            "garbage": b"garbage",
+            "empty": b"",
+            # Compressed member bytes overwritten in place: the zip
+            # directory still parses, the member does not inflate.
+            "flipped": data[:middle] + bytes(64) + data[middle + 64:],
+        }[damage])
+        with pytest.raises(DataError, match="corrupt") as raised:
+            if reader == "meta":
+                checkpoint_meta(path)
+            else:
+                load_checkpoint(path, inventory)
+        assert str(path) in str(raised.value)
+
     def test_schema_mismatch_refused(self, half_streamed, tmp_path):
         inventory, analyzer = half_streamed
         path = save_checkpoint(analyzer, tmp_path / "c.npz")

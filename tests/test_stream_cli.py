@@ -102,6 +102,45 @@ class TestStreamCommand:
                   "--from", str(export_dir)])
 
 
+def _damage(path, how):
+    data = path.read_bytes()
+    path.write_bytes(data[:2000] if how == "truncated" else b"garbage")
+
+
+class TestDamagedInputs:
+    """Damaged ``.npz`` inputs fail as DataError naming the file."""
+
+    @pytest.mark.parametrize("how", ["truncated", "garbage"])
+    def test_damaged_checkpoint_named(self, export_dir, tmp_path, capsys,
+                                      how):
+        from repro.errors import DataError
+
+        ckpt = tmp_path / "stream.npz"
+        assert main(["stream", *SIM, "--from", str(export_dir),
+                     "--max-events", "300", "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        _damage(ckpt, how)
+        with pytest.raises(DataError, match="corrupt") as raised:
+            main(["stream", *SIM, "--from", str(export_dir),
+                  "--resume", str(ckpt)])
+        assert str(ckpt) in str(raised.value)
+
+    @pytest.mark.parametrize("how", ["truncated", "garbage"])
+    def test_damaged_sensor_bundle_named(self, corrupt_dir, tmp_path, how):
+        import shutil
+
+        from repro.errors import DataError
+
+        bundle_dir = tmp_path / "fd"
+        shutil.copytree(corrupt_dir, bundle_dir)
+        sensors = bundle_dir / "sensors.npz"
+        _damage(sensors, how)
+        with pytest.raises(DataError, match="corrupt") as raised:
+            main(["stream", *SIM, "--from", str(bundle_dir),
+                  "--spare-fraction", "0.02"])
+        assert str(sensors) in str(raised.value)
+
+
 class TestStreamingExperiment:
     def test_registered(self):
         assert "streaming" in EXPERIMENTS

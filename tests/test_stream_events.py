@@ -17,7 +17,7 @@ from repro.stream import (
     EventKind,
     StreamInventory,
     blocks_from_directory,
-    blocks_from_field_dataset,
+    blocks_from_parts,
     blocks_from_result,
     follow_directory,
 )
@@ -143,8 +143,8 @@ class TestStreamInventory:
             dataset.replace(decommission_day=decommission)
         )
         assert inventory.decommission_day[0] == 7
-        events = block_events(blocks_from_field_dataset(
-            dataset.replace(decommission_day=decommission),
+        events = block_events(blocks_from_parts(
+            inventory, tickets=dataset.tickets,
             kinds={EventKind.INVENTORY_CHANGE},
         ))
         exits = [e for e in events if e.value == -1.0]

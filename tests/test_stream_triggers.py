@@ -16,7 +16,7 @@ from repro.stream import (
     StreamAnalyzer,
     EventKind,
     StreamInventory,
-    blocks_from_field_dataset,
+    blocks_from_parts,
     blocks_from_result,
     calibrated_spare_fraction,
 )
@@ -149,7 +149,10 @@ class TestCalibrationContract:
         inventory = StreamInventory.from_field_dataset(dataset)
         analyzer = StreamAnalyzer(inventory, sla=AvailabilitySla(1.0),
                                   spare_fraction=fraction)
-        analyzer.consume_blocks(blocks_from_field_dataset(dataset))
+        analyzer.consume_blocks(blocks_from_parts(
+            inventory, tickets=dataset.tickets,
+            temp_f=dataset.temp_f, rh=dataset.rh,
+        ))
         analyzer.finish()
         assert [a for a in analyzer.alerts
                 if a.kind is AlertKind.SLA_RISK] == []
