@@ -6,7 +6,6 @@ from .cart import (
     RegressionTree,
     Split,
     TreeParams,
-    best_split,
     cross_validated_alpha,
     describe_path,
     gini_impurity,
@@ -49,7 +48,6 @@ __all__ = [
     "Split",
     "Term",
     "TreeParams",
-    "best_split",
     "build_prediction_dataset",
     "clusters_from_tree",
     "cross_validated_alpha",

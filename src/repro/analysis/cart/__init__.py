@@ -4,7 +4,7 @@ from .criteria import gini_impurity, node_mean, node_sse, sse_split_scan
 from .export import describe_path, render_tree
 from .importance import permutation_importance
 from .prune import PruneStep, cross_validated_alpha, prune, prune_sequence
-from .splitter import Split, best_split, best_split_for_feature
+from .splitter import Split, best_split_for_feature
 from .tree import Node, RegressionTree, TreeParams
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "RegressionTree",
     "Split",
     "TreeParams",
-    "best_split",
     "best_split_for_feature",
     "cross_validated_alpha",
     "describe_path",

@@ -66,6 +66,38 @@ def gini_impurity(labels: np.ndarray, weights: np.ndarray | None = None) -> floa
     return impurity
 
 
+def prefix_sums(
+    y_sorted: np.ndarray,
+    weights_sorted: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Running ``(Σw, Σwy, Σwy²)`` over rows in scan order."""
+    wy = weights_sorted * y_sorted
+    return np.cumsum(weights_sorted), np.cumsum(wy), np.cumsum(wy * y_sorted)
+
+
+def split_sse(
+    sums: tuple[np.ndarray, np.ndarray, np.ndarray],
+    at: np.ndarray | slice,
+) -> tuple[np.ndarray, np.ndarray]:
+    """SSE of (left, right) partitions when rows ``0..i`` go left, for
+    each ``i`` in ``at``, from :func:`prefix_sums`.
+
+    Uses the identity ``SSE = Σ w y² − (Σ w y)² / Σ w``; the right side's
+    sums are the totals minus the left side's.
+    """
+    cw, cwy, cwy2 = sums
+    left_w, left_wy, left_wy2 = cw[at], cwy[at], cwy2[at]
+    right_w = cw[-1] - left_w
+    right_wy = cwy[-1] - left_wy
+    right_wy2 = cwy2[-1] - left_wy2
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left_sse = left_wy2 - np.where(left_w > 0, left_wy**2 / left_w, 0.0)
+        right_sse = right_wy2 - np.where(right_w > 0, right_wy**2 / right_w, 0.0)
+    # Numerical noise can push tiny SSEs slightly negative.
+    return np.maximum(left_sse, 0.0), np.maximum(right_sse, 0.0)
+
+
 def sse_split_scan(
     y_sorted: np.ndarray,
     weights_sorted: np.ndarray,
@@ -90,23 +122,4 @@ def sse_split_scan(
         raise DataError("need at least 2 rows to scan splits")
     if w.shape != y.shape:
         raise DataError("weights must align with y")
-
-    wy = w * y
-    wy2 = w * y * y
-    cw = np.cumsum(w)
-    cwy = np.cumsum(wy)
-    cwy2 = np.cumsum(wy2)
-
-    total_w, total_wy, total_wy2 = cw[-1], cwy[-1], cwy2[-1]
-    left_w = cw[:-1]
-    left_wy = cwy[:-1]
-    left_wy2 = cwy2[:-1]
-    right_w = total_w - left_w
-    right_wy = total_wy - left_wy
-    right_wy2 = total_wy2 - left_wy2
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left_sse = left_wy2 - np.where(left_w > 0, left_wy**2 / left_w, 0.0)
-        right_sse = right_wy2 - np.where(right_w > 0, right_wy**2 / right_w, 0.0)
-    # Numerical noise can push tiny SSEs slightly negative.
-    return np.maximum(left_sse, 0.0), np.maximum(right_sse, 0.0)
+    return split_sse(prefix_sums(y, w), slice(0, n - 1))

@@ -22,7 +22,7 @@ import numpy as np
 
 from ...errors import DataError
 from ...telemetry.schema import FeatureKind, FeatureSpec
-from .criteria import node_sse, sse_split_scan
+from .criteria import node_sse, prefix_sums, split_sse
 
 
 @dataclass(frozen=True)
@@ -101,43 +101,147 @@ class Split:
 
 
 def _scan_ordered(
-    order_values: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray,
+    x_sorted: np.ndarray,
+    y_sorted: np.ndarray,
+    w_sorted: np.ndarray,
     min_bucket: int,
 ) -> tuple[float, float, int] | None:
-    """Best threshold over pre-encoded ordered values.
+    """Best threshold over rows already in stable ascending order of ``x_sorted``.
 
     Returns (gain_sse_drop, threshold, split_position) or None when no
     legal split exists.  ``threshold`` is the midpoint between the two
     straddling distinct values.
     """
-    order = np.argsort(order_values, kind="stable")
-    x_sorted = order_values[order]
-    y_sorted = y[order]
-    w_sorted = weights[order]
     n = len(y_sorted)
     if n < 2 * min_bucket:
         return None
 
-    left_sse, right_sse = sse_split_scan(y_sorted, w_sorted)
-    split_sse = left_sse + right_sse
-
-    positions = np.arange(1, n)  # split after index position-1
-    valid = (positions >= min_bucket) & (n - positions >= min_bucket)
-    # A threshold must separate distinct values.
-    valid &= x_sorted[1:] != x_sorted[:-1]
-    if not valid.any():
+    # Legal cuts fall after index i for lo <= i < hi (at least min_bucket
+    # rows each side) and must separate distinct values; only those are
+    # scored.
+    lo, hi = min_bucket - 1, n - min_bucket
+    at = lo + np.flatnonzero(x_sorted[lo + 1:hi + 1] != x_sorted[lo:hi])
+    if len(at) == 0:
         return None
 
-    candidate_sse = np.where(valid, split_sse, np.inf)
-    best = int(np.argmin(candidate_sse))
+    left_sse, right_sse = split_sse(prefix_sums(y_sorted, w_sorted), at)
+    candidate_sse = left_sse + right_sse
+    first_best = int(np.argmin(candidate_sse))
+    best = int(at[first_best])
     parent_sse = node_sse(y_sorted, w_sorted)
-    gain = parent_sse - float(candidate_sse[best])
+    gain = parent_sse - float(candidate_sse[first_best])
     if not np.isfinite(gain) or gain <= 0:
         return None
     threshold = float((x_sorted[best] + x_sorted[best + 1]) / 2.0)
     return gain, threshold, best + 1
+
+
+def _split_observed(
+    x: np.ndarray,
+    y: np.ndarray,
+    weights: np.ndarray,
+    spec: FeatureSpec,
+    feature_index: int,
+    min_bucket: int,
+) -> Split | None:
+    """Best split over NaN-free rows in stable ascending order of ``x``."""
+    if spec.kind in (FeatureKind.CONTINUOUS, FeatureKind.ORDINAL):
+        scanned = _scan_ordered(x, y, weights, min_bucket)
+        if scanned is None:
+            return None
+        gain, threshold, position = scanned
+        return Split(
+            feature_index=feature_index,
+            feature_name=spec.name,
+            kind=spec.kind,
+            gain=gain,
+            threshold=threshold,
+            n_left=position,
+            n_right=len(y) - position,
+        )
+
+    # Nominal: order categories by weighted mean response, then treat the
+    # rank as an ordered variable (optimal for binary SSE partitions).
+    # Sorted by code, each category is one run of rows in training order.
+    codes = x.astype(np.int64)
+    bounds = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(codes)]
+    runs = list(zip(bounds[:-1], bounds[1:]))
+    if len(runs) < 2:
+        return None
+    weighted = weights * y
+    means = np.array([weighted[start:end].sum() / weights[start:end].sum()
+                      for start, end in runs])
+    rank = np.argsort(np.argsort(means))
+    # Rank order of the rows, categories' runs kept in training order:
+    # what a stable sort of the rows by their category's rank gives.
+    by_rank = [runs[g] for g in np.argsort(rank)]
+    order = np.concatenate([np.arange(start, end) for start, end in by_rank])
+    ranked = np.repeat(np.arange(len(runs), dtype=float),
+                       [end - start for start, end in by_rank])
+
+    scanned = _scan_ordered(ranked, y[order], weights[order], min_bucket)
+    if scanned is None:
+        return None
+    gain, threshold, position = scanned
+    left_codes = frozenset(
+        int(codes[start]) for (start, _), r in zip(runs, rank) if r <= threshold
+    )
+    return Split(
+        feature_index=feature_index,
+        feature_name=spec.name,
+        kind=spec.kind,
+        gain=gain,
+        left_categories=left_codes,
+        n_left=position,
+        n_right=len(y) - position,
+    )
+
+
+def split_sorted_rows(
+    rows: np.ndarray,
+    column: np.ndarray,
+    y: np.ndarray,
+    weights: np.ndarray,
+    spec: FeatureSpec,
+    feature_index: int,
+    min_bucket: int,
+    node_rows: np.ndarray,
+) -> Split | None:
+    """Best split on one feature over one node's rows, or None.
+
+    Args:
+        rows: the node's row indices in stable ascending order of
+            ``column`` (ties in ascending row order, NaN last).
+        column: the feature's values for every row.
+        y / weights: response and sample weights for every row.
+        spec: the feature's schema entry (drives split semantics).
+        feature_index: position of this column in the feature matrix.
+        min_bucket: minimum rows per child (rpart's ``minbucket``).
+        node_rows: the same rows in ascending order; the NaN default
+            direction is scored over them.
+
+    Missing values: the split is searched on the observed rows, then the
+    default direction that reduces SSE more is learned (see
+    :class:`Split`).  NaN sorts last, so the observed rows are a prefix
+    of ``rows``.
+    """
+    if len(rows) < 2 * min_bucket:
+        return None
+    rows = rows.astype(np.intp, copy=False)
+    x = column[rows]
+    n_observed = len(x) - int(np.isnan(x).sum()) if np.isnan(x[-1]) else len(x)
+    if n_observed < 2 * min_bucket:
+        return None
+    observed = rows[:n_observed]
+    split = _split_observed(
+        x[:n_observed], y[observed], weights[observed],
+        spec, feature_index, min_bucket,
+    )
+    if split is None or n_observed == len(x):
+        return split
+    return _with_nan_direction(
+        split, column[node_rows], y[node_rows], weights[node_rows],
+    )
 
 
 def best_split_for_feature(
@@ -165,67 +269,9 @@ def best_split_for_feature(
         raise DataError("values/y/weights must be aligned")
     if min_bucket < 1:
         raise DataError(f"min_bucket must be >= 1, got {min_bucket}")
-
-    # Missing values: search the split on the observed rows, then learn
-    # the default direction that reduces SSE more (see Split docstring).
-    missing = np.isnan(values)
-    if missing.any():
-        observed = ~missing
-        if observed.sum() < 2 * min_bucket:
-            return None
-        split = best_split_for_feature(
-            values[observed], y[observed], weights[observed],
-            spec, feature_index, min_bucket,
-        )
-        if split is None:
-            return None
-        return _with_nan_direction(split, values, y, weights)
-
-    if spec.kind in (FeatureKind.CONTINUOUS, FeatureKind.ORDINAL):
-        scanned = _scan_ordered(values, y, weights, min_bucket)
-        if scanned is None:
-            return None
-        gain, threshold, position = scanned
-        return Split(
-            feature_index=feature_index,
-            feature_name=spec.name,
-            kind=spec.kind,
-            gain=gain,
-            threshold=threshold,
-            n_left=position,
-            n_right=len(y) - position,
-        )
-
-    # Nominal: order categories by weighted mean response, then treat the
-    # rank as an ordered variable (optimal for binary SSE partitions).
-    codes = values.astype(np.int64)
-    unique = np.unique(codes)
-    if len(unique) < 2:
-        return None
-    means = np.empty(len(unique))
-    for i, code in enumerate(unique):
-        mask = codes == code
-        w = weights[mask]
-        means[i] = (w * y[mask]).sum() / w.sum()
-    category_rank = {int(code): float(rank)
-                     for rank, code in zip(np.argsort(np.argsort(means)), unique)}
-    ranked = np.array([category_rank[int(code)] for code in codes])
-
-    scanned = _scan_ordered(ranked, y, weights, min_bucket)
-    if scanned is None:
-        return None
-    gain, threshold, position = scanned
-    left_codes = frozenset(
-        int(code) for code in unique if category_rank[int(code)] <= threshold
-    )
-    return Split(
-        feature_index=feature_index,
-        feature_name=spec.name,
-        kind=spec.kind,
-        gain=gain,
-        left_categories=left_codes,
-        n_left=position,
-        n_right=len(y) - position,
+    return split_sorted_rows(
+        np.argsort(values, kind="stable"), values, y, weights,
+        spec, feature_index, min_bucket, np.arange(len(values)),
     )
 
 
@@ -258,30 +304,4 @@ def _with_nan_direction(
             )
     if best is None or best.gain <= 0:
         return replace(split, gain=0.0)
-    return best
-
-
-def best_split(
-    matrix: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray,
-    specs: list[FeatureSpec],
-    min_bucket: int,
-) -> Split | None:
-    """Best split across all features (the CART greedy step)."""
-    if matrix.ndim != 2:
-        raise DataError(f"feature matrix must be 2-D, got shape {matrix.shape}")
-    if matrix.shape[1] != len(specs):
-        raise DataError(
-            f"{matrix.shape[1]} columns but {len(specs)} feature specs"
-        )
-    best: Split | None = None
-    for index, spec in enumerate(specs):
-        candidate = best_split_for_feature(
-            matrix[:, index], y, weights, spec, index, min_bucket
-        )
-        if candidate is None:
-            continue
-        if best is None or candidate.gain > best.gain:
-            best = candidate
     return best

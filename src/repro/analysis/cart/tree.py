@@ -9,6 +9,13 @@ Stopping rules mirror rpart's: ``min_split`` (don't attempt to split
 smaller nodes), ``min_bucket`` (children must keep at least this many
 rows), ``max_depth``, and ``cp`` (a split must reduce the root's SSE by
 at least ``cp`` relative — rpart's complexity parameter).
+
+Growth is presorted (the rpart/sklearn idiom): each feature is sorted
+once per fit, and splitting a node stably partitions those sorted row
+indices, so every node scans its rows in the order a stable sort of its
+own rows would give — ties in training-row order, NaN last.  The search
+arithmetic is therefore the same at every node as sorting afresh there,
+and the fitted trees are bit-identical to the per-node search.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 from ...errors import DataError, FitError
 from ...telemetry.schema import FeatureSpec, Schema
 from .criteria import node_mean, node_sse
-from .splitter import Split, best_split
+from .splitter import Split, split_sorted_rows
 
 
 @dataclass(frozen=True)
@@ -164,64 +171,10 @@ class RegressionTree:
 
         self.schema = schema
         self.n_samples = len(y)
-        self._importance_raw = {}
-        specs = list(schema)
-        root_sse = node_sse(y, weights)
-        self._next_id = 0
-        self._n_leaves = 1
-        self.root = self._grow(
-            matrix, y, weights, specs, depth=0, root_sse=max(root_sse, 1e-300)
-        )
+        grower = _Grower(matrix, y, weights, list(schema), self.params)
+        self.root = grower.grow(0, len(y), depth=0)
+        self._importance_raw = grower.importance
         return self
-
-    def _allocate_id(self) -> int:
-        node_id = self._next_id
-        self._next_id += 1
-        return node_id
-
-    def _grow(
-        self,
-        matrix: np.ndarray,
-        y: np.ndarray,
-        weights: np.ndarray,
-        specs: list[FeatureSpec],
-        depth: int,
-        root_sse: float,
-    ) -> Node:
-        node = Node(
-            node_id=self._allocate_id(),
-            depth=depth,
-            n=len(y),
-            weight=float(weights.sum()),
-            prediction=node_mean(y, weights),
-            sse=node_sse(y, weights),
-        )
-        params = self.params
-        if (depth >= params.max_depth or node.n < params.min_split
-                or node.sse <= 1e-12):
-            return node
-        if params.max_leaves is not None and self._n_leaves >= params.max_leaves:
-            return node
-
-        split = best_split(matrix, y, weights, specs, params.min_bucket)
-        if split is None or split.gain < params.cp * root_sse:
-            return node
-
-        go_left = split.goes_left(matrix[:, split.feature_index])
-        node.split = split
-        self._n_leaves += 1  # splitting one leaf nets one extra leaf
-        self._importance_raw[split.feature_name] = (
-            self._importance_raw.get(split.feature_name, 0.0) + split.gain
-        )
-        node.left = self._grow(
-            matrix[go_left], y[go_left], weights[go_left], specs,
-            depth + 1, root_sse,
-        )
-        node.right = self._grow(
-            matrix[~go_left], y[~go_left], weights[~go_left], specs,
-            depth + 1, root_sse,
-        )
-        return node
 
     # -- inference ----------------------------------------------------------
 
@@ -322,3 +275,110 @@ class RegressionTree:
             raw[node.split.feature_name] = raw.get(node.split.feature_name, 0.0) \
                 + node.split.gain
         self._importance_raw = raw
+
+
+class _Grower:
+    """One fit's growth state (discarded once the tree is grown).
+
+    ``order[f]`` holds every training row in stable ascending order of
+    feature ``f`` (NaN last); the last row of ``order`` holds them in
+    training order.  A node owns one ``[start, end)`` slice of every row
+    of ``order``, and splitting it stably partitions those slices in
+    place, so each child's slices stay sorted.
+    """
+
+    def __init__(
+        self,
+        matrix: np.ndarray,
+        y: np.ndarray,
+        weights: np.ndarray,
+        specs: list[FeatureSpec],
+        params: TreeParams,
+    ):
+        n_rows, n_features = matrix.shape
+        self.order = np.empty(
+            (n_features + 1, n_rows),
+            dtype=np.int32 if n_rows < 2**31 else np.intp,
+        )
+        for index in range(n_features):
+            self.order[index] = np.argsort(matrix[:, index], kind="stable")
+        self.order[n_features] = np.arange(n_rows)
+        self.went_left = np.empty(n_rows, dtype=bool)
+        self.matrix = matrix
+        self.y = y
+        self.weights = weights
+        self.specs = specs
+        self.params = params
+        self.root_sse = max(node_sse(y, weights), 1e-300)
+        self.next_id = 0
+        self.n_leaves = 1
+        self.importance: dict[str, float] = {}
+
+    def grow(self, start: int, end: int, depth: int) -> Node:
+        """Grow the subtree over the rows in ``[start, end)``."""
+        node = self._node(start, end, depth)
+        params = self.params
+        if (depth >= params.max_depth or node.n < params.min_split
+                or node.sse <= 1e-12):
+            return node
+        if params.max_leaves is not None and self.n_leaves >= params.max_leaves:
+            return node
+
+        split = self._best_split(start, end)
+        if split is None or split.gain < params.cp * self.root_sse:
+            return node
+
+        n_left = self._partition(start, end, split)
+        node.split = split
+        self.n_leaves += 1  # splitting one leaf nets one extra leaf
+        self.importance[split.feature_name] = (
+            self.importance.get(split.feature_name, 0.0) + split.gain
+        )
+        node.left = self.grow(start, start + n_left, depth + 1)
+        node.right = self.grow(start + n_left, end, depth + 1)
+        return node
+
+    def _node(self, start: int, end: int, depth: int) -> Node:
+        """A leaf over the rows in ``[start, end)``, its statistics taken
+        in training-row order."""
+        rows = self.order[-1, start:end]
+        y, weights = self.y[rows], self.weights[rows]
+        node = Node(
+            node_id=self.next_id,
+            depth=depth,
+            n=end - start,
+            weight=float(weights.sum()),
+            prediction=node_mean(y, weights),
+            sse=node_sse(y, weights),
+        )
+        self.next_id += 1
+        return node
+
+    def _best_split(self, start: int, end: int) -> Split | None:
+        """Best split across all features (the CART greedy step)."""
+        rows = self.order[-1, start:end]
+        best: Split | None = None
+        for index, spec in enumerate(self.specs):
+            candidate = split_sorted_rows(
+                self.order[index, start:end], self.matrix[:, index],
+                self.y, self.weights, spec, index, self.params.min_bucket, rows,
+            )
+            if candidate is None:
+                continue
+            if best is None or candidate.gain > best.gain:
+                best = candidate
+        return best
+
+    def _partition(self, start: int, end: int, split: Split) -> int:
+        """Stably move the split's left rows to the front of every slice;
+        returns how many went left."""
+        rows = self.order[-1, start:end]
+        go_left = split.goes_left(self.matrix[rows, split.feature_index])
+        self.went_left[rows] = go_left
+        n_left = int(go_left.sum())
+        for sorted_rows in self.order[:, start:end]:
+            left = self.went_left[sorted_rows]
+            lefts, rights = np.compress(left, sorted_rows), np.compress(~left, sorted_rows)
+            sorted_rows[:n_left] = lefts
+            sorted_rows[n_left:] = rights
+        return n_left

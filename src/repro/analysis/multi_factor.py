@@ -22,11 +22,13 @@ Usage::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DataError, FitError
+from ..telemetry.schema import Schema
 from ..telemetry.table import Table
 from .cart.export import render_tree
 from .cart.prune import cross_validated_alpha, prune
@@ -60,22 +62,36 @@ class AdjustedLevelStats:
 
 
 class MultiFactorModel:
-    """A fitted MF model: CART over a formula's features.
+    """An MF model: CART over a formula's features.
 
-    Build via :meth:`from_formula` (preferred) or :meth:`fit`.
+    Build via :meth:`from_formula` (preferred), which also grows the
+    tree.  A model constructed directly grows :attr:`tree` on first use:
+    the stratified estimators (:meth:`stratified_effect`,
+    :meth:`stratified_ratio`, :meth:`common_support_effect`) fit only
+    their own stratifier trees and never read it.
     """
 
     def __init__(
         self,
         formula: Formula,
-        tree: RegressionTree,
-        matrix: np.ndarray,
         table: Table,
+        params: TreeParams | None = None,
+        sample_weight: np.ndarray | None = None,
+        prune_by_cv: bool = False,
+        cv_folds: int = 5,
     ):
+        if formula.metric not in table:
+            raise DataError(f"metric {formula.metric!r} missing from table")
+        for name in formula.feature_names:
+            if name not in table:
+                raise DataError(f"feature {name!r} missing from table")
         self.formula = formula
-        self.tree = tree
-        self.matrix = matrix
         self.table = table
+        self.params = params or TreeParams()
+        self.sample_weight = sample_weight
+        self.prune_by_cv = prune_by_cv
+        self.cv_folds = cv_folds
+        self._strata: dict[tuple[str, TreeParams], tuple[np.ndarray, ...]] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -100,23 +116,35 @@ class MultiFactorModel:
         """
         if isinstance(formula, str):
             formula = parse_formula(formula)
-        if formula.metric not in table:
-            raise DataError(f"metric {formula.metric!r} missing from table")
-        for name in formula.feature_names:
-            if name not in table:
-                raise DataError(f"feature {name!r} missing from table")
+        model = MultiFactorModel(
+            formula, table, params=params, sample_weight=sample_weight,
+            prune_by_cv=prune_by_cv, cv_folds=cv_folds,
+        )
+        _ = model.tree  # grown now, so a fit error surfaces here
+        return model
 
-        matrix, schema = table.feature_matrix(formula.feature_names)
-        y = table.column(formula.metric).astype(float)
-        params = params or TreeParams()
-        tree = RegressionTree(params).fit(matrix, y, schema, sample_weight)
-        if prune_by_cv and tree.n_leaves > 1:
+    @functools.cached_property
+    def _features(self) -> tuple[np.ndarray, Schema]:
+        return self.table.feature_matrix(self.formula.feature_names)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The formula's feature matrix (the tree's training rows)."""
+        return self._features[0]
+
+    @functools.cached_property
+    def tree(self) -> RegressionTree:
+        """The CART over all the formula's features (grown on first use)."""
+        matrix, schema = self._features
+        y = self.table.column(self.formula.metric).astype(float)
+        tree = RegressionTree(self.params).fit(matrix, y, schema, self.sample_weight)
+        if self.prune_by_cv and tree.n_leaves > 1:
             alpha = cross_validated_alpha(
-                matrix, y, schema, params, n_folds=cv_folds,
-                sample_weight=sample_weight,
+                matrix, y, schema, self.params, n_folds=self.cv_folds,
+                sample_weight=self.sample_weight,
             )
             tree = prune(tree, alpha)
-        return MultiFactorModel(formula=formula, tree=tree, matrix=matrix, table=table)
+        return tree
 
     # -- Cat. 2: normalized influence --------------------------------------
 
@@ -210,16 +238,6 @@ class MultiFactorModel:
                     "name one explicitly"
                 )
             feature = studied[0]
-        spec = self.table.spec(feature)
-        if not spec.is_categorical:
-            raise DataError(
-                f"stratified_effect needs a categorical factor, {feature!r} is not"
-            )
-        normalized = self.formula.normalized
-        if not normalized:
-            raise FitError(
-                f"formula {self.formula} has no N(...) terms to stratify on"
-            )
         if min_cell < 1:
             raise DataError(f"min_cell must be >= 1, got {min_cell}")
 
@@ -227,12 +245,8 @@ class MultiFactorModel:
             max_depth=8, min_split=max(4 * min_cell, 40),
             min_bucket=max(2 * min_cell, 20), cp=1e-4,
         )
-        matrix_n, schema_n = self.table.feature_matrix(normalized)
-        y = self.table.column(self.formula.metric).astype(float)
-        stratifier = RegressionTree(stratifier_params).fit(matrix_n, y, schema_n)
-        strata = stratifier.apply(matrix_n)
-        codes = self.table.column(feature).astype(np.int64)
-
+        strata, codes, y = self._stratify(feature, stratifier_params)
+        spec = self.table.spec(feature)
         assert spec.categories is not None
         levels = range(len(spec.categories))
         accumulators = {
@@ -281,7 +295,15 @@ class MultiFactorModel:
         feature: str,
         stratifier_params: TreeParams,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fit the N(·)-feature stratifier; return (strata, codes, y)."""
+        """(strata, codes, y): the N(·)-feature stratifier's leaf per row,
+        the studied factor's codes and the metric.
+
+        Fitted once per (feature, params) and kept, so estimators sharing
+        a stratifier share its fit.
+        """
+        key = (feature, stratifier_params)
+        if key in self._strata:
+            return self._strata[key]
         spec = self.table.spec(feature)
         if not spec.is_categorical:
             raise DataError(
@@ -296,7 +318,8 @@ class MultiFactorModel:
         stratifier = RegressionTree(stratifier_params).fit(matrix_n, y, schema_n)
         strata = stratifier.apply(matrix_n)
         codes = self.table.column(feature).astype(np.int64)
-        return strata, codes, y
+        self._strata[key] = (strata, codes, y)
+        return self._strata[key]
 
     @staticmethod
     def default_pairwise_stratifier() -> TreeParams:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.cart.tree import TreeParams
+from ..analysis.formula import parse_formula
 from ..analysis.multi_factor import AdjustedLevelStats, MultiFactorModel
 from ..analysis.single_factor import FactorLevelStats, SingleFactorModel
 from ..errors import DataError
@@ -120,25 +120,22 @@ class SkuComparison:
         return {label: value / top for label, value in values.items()}
 
 
-def default_q2_tree_params() -> TreeParams:
-    """CART parameters used by the Q2 MF fits."""
-    return TreeParams(max_depth=7, min_split=200, min_bucket=80, cp=3e-4)
-
-
 def compare_skus(
     result: SimulationResult,
     table: Table | None = None,
     peak_quantile: float = 0.999,
-    tree_params: TreeParams | None = None,
 ) -> SkuComparison:
     """Run both Q2 analyses on a simulation's hardware failures.
+
+    The MF statistics are stratum-standardized (see
+    :meth:`MultiFactorModel.stratified_effect`), so only the models'
+    stratifier trees are grown, each once.
 
     Args:
         result: simulation run.
         table: pre-built hardware rack-day table with μ columns
             (built if omitted).
         peak_quantile: quantile used as the peak failure rate.
-        tree_params: CART parameters for the MF models.
     """
     if table is None:
         table = build_rack_day_table(
@@ -147,15 +144,14 @@ def compare_skus(
     for required in ("failures", "mu_fraction"):
         if required not in table:
             raise DataError(f"table lacks the {required!r} column")
-    params = tree_params or default_q2_tree_params()
 
     sf_mean = SingleFactorModel(table, "failures",
                                 peak_quantile=peak_quantile).by_factor("sku")
     sf_peak = SingleFactorModel(table, "mu_fraction",
                                 peak_quantile=peak_quantile).by_factor("sku")
 
-    mf_mean_model = MultiFactorModel.from_formula(MF_FORMULA, table, params=params)
-    mf_peak_model = MultiFactorModel.from_formula(MF_PEAK_FORMULA, table, params=params)
+    mf_mean_model = MultiFactorModel(parse_formula(MF_FORMULA), table)
+    mf_peak_model = MultiFactorModel(parse_formula(MF_PEAK_FORMULA), table)
     common_support = {}
     mf_pair = None
     mf_pair_peak = None

@@ -42,7 +42,7 @@ from ..stream.blocks import (
     StreamInventory,
     group_start_flags,
 )
-from ..telemetry.io import load_array_bundle
+from ..telemetry.io import load_array_bundle, require_meta_keys
 from ..telemetry.schema import (
     INVENTORY_CSV,
     TICKET_LOG,
@@ -419,7 +419,8 @@ def load_feature_state(
 
     The bundle's inventory fingerprint must match ``inventory`` — a
     checkpoint resumed against a different fleet raises
-    :class:`~repro.errors.DataError`.
+    :class:`~repro.errors.DataError`, as does metadata lacking a
+    required key.
     """
     path = pathlib.Path(path)
     if not path.exists():
@@ -437,6 +438,11 @@ def load_feature_state(
             f"{path}: feature checkpoint schema {meta.get('schema')!r} != "
             f"{PREDICT_CHECKPOINT_SCHEMA}"
         )
+    require_meta_keys(path, meta, ("inventory_fingerprint", "events_seen", "extractor"))
+    require_meta_keys(
+        path, meta["extractor"],
+        ("window_days", "hot_temp_f", "humid_rh", "current_day"), "metadata 'extractor'",
+    )
     if meta["inventory_fingerprint"] != inventory.fingerprint():
         raise DataError(
             f"{path}: checkpoint was taken against a different inventory "

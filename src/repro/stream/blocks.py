@@ -44,7 +44,6 @@ if TYPE_CHECKING:
     from ..datacenter.topology import Fleet
     from ..failures.engine import SimulationResult
     from ..failures.tickets import TicketLog
-    from ..fielddata.dataset import FieldDataset
 
 
 class EventKind(Enum):
@@ -240,14 +239,6 @@ class StreamInventory:
     def from_result(result: "SimulationResult") -> "StreamInventory":
         """Project a simulation run."""
         return StreamInventory.from_fleet(result.fleet, result.n_days)
-
-    @staticmethod
-    def from_field_dataset(dataset: "FieldDataset") -> "StreamInventory":
-        """Project a field dataset (keeps its censoring dates)."""
-        return StreamInventory.from_fleet(
-            dataset.fleet, dataset.n_days,
-            decommission_day=dataset.decommission_day,
-        )
 
 
 def _default_records(n: int) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..decisions.availability import AvailabilitySla
 from ..errors import DataError
-from ..telemetry.io import load_array_bundle
+from ..telemetry.io import load_array_bundle, require_meta_keys
 from ..telemetry.schema import TICKET_LOG
 from .analyzer import StreamAnalyzer
 from .blocks import StreamInventory
@@ -45,6 +45,13 @@ from .triggers import Alert, AlertKind, RateDriftDetector, SlaRiskMonitor
 STREAM_CHECKPOINT_SCHEMA = 1
 
 _PARTS = ("lambda", "mu", "sku", "dc", "monitor", "drift")
+#: Metadata every bundle carries, and the parts every analyzer has.
+_META_KEYS = (
+    "inventory_fingerprint", "events_seen", "last_time_hours",
+    "racks_in_service", "sensor_samples", "window_hours", "sla_level",
+    "alerts", "parts",
+)
+_REQUIRED_PARTS = ("lambda", "mu", "sku", "dc")
 
 
 def _alert_to_json(alert: Alert) -> dict:
@@ -133,8 +140,9 @@ def save_checkpoint(
 def _read_checkpoint(path: pathlib.Path) -> tuple[dict[str, np.ndarray], dict]:
     """``(arrays, meta)`` of a checkpoint bundle, schema-checked.
 
-    A missing, truncated or garbled file raises :class:`DataError`
-    naming it (see :func:`~repro.telemetry.io.load_array_bundle`).
+    A missing, truncated or garbled file, or metadata lacking a required
+    key, raises :class:`DataError` naming it (see
+    :func:`~repro.telemetry.io.load_array_bundle`).
     """
     if not path.exists():
         raise DataError(f"no such checkpoint: {path}")
@@ -146,6 +154,8 @@ def _read_checkpoint(path: pathlib.Path) -> tuple[dict[str, np.ndarray], dict]:
             f"{path}: checkpoint schema {meta.get('schema')!r} != "
             f"{STREAM_CHECKPOINT_SCHEMA}"
         )
+    require_meta_keys(path, meta, _META_KEYS)
+    require_meta_keys(path, meta["parts"], _REQUIRED_PARTS, "metadata 'parts'")
     return arrays, meta
 
 

@@ -37,7 +37,6 @@ from .stats import (
     binned_mean_sd,
     ecdf,
     make_range_bins,
-    normalize_to_max,
     weighted_mean,
 )
 from .table import Table
@@ -46,7 +45,6 @@ from .windows import (
     interval_window_counts,
     n_windows,
     per_group_window_counts,
-    windows_per_day,
 )
 
 __all__ = [
@@ -78,12 +76,10 @@ __all__ = [
     "mtbf_hours",
     "mu_matrix",
     "n_windows",
-    "normalize_to_max",
     "per_group_window_counts",
     "rack_static_table",
     "read_csv_table",
     "table_iii_schema",
     "ticket_mask",
     "weighted_mean",
-    "windows_per_day",
 ]

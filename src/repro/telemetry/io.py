@@ -279,6 +279,19 @@ def load_array_bundle(
     return arrays, meta
 
 
+def require_meta_keys(
+    path: pathlib.Path, meta: dict, keys: tuple[str, ...], what: str = "metadata",
+) -> None:
+    """Raise :class:`DataError` naming ``path`` and the ``keys`` that
+    ``meta`` (a bundle's decoded metadata, or a part of it) lacks."""
+    missing = [key for key in keys if key not in meta]
+    if missing:
+        raise DataError(
+            f"{path}: {what} lacks required key(s) "
+            f"{', '.join(repr(key) for key in missing)}"
+        )
+
+
 def _mmap_npy_member(path: pathlib.Path, offset: int) -> np.ndarray | None:
     """Memory-map one stored ``.npy`` member at ``offset``, or None."""
     with path.open("rb") as handle:

@@ -64,17 +64,6 @@ def ecdf(sample: np.ndarray) -> Ecdf:
     return Ecdf(values=values, probabilities=cumulative, n=sample.size)
 
 
-def normalize_to_max(values: np.ndarray) -> np.ndarray:
-    """Scale so the maximum becomes 1.0 (paper's plot normalization)."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise DataError("cannot normalize an empty array")
-    peak = np.nanmax(values)
-    if peak <= 0:
-        return np.zeros_like(values)
-    return values / peak
-
-
 @dataclass(frozen=True)
 class BinSpec:
     """Half-open bins with optional open ends, e.g. Fig 16's <60, 60-65, ...

@@ -142,11 +142,3 @@ def event_day_counts(
     flat = group_index * total_days + day_index
     counts = np.bincount(flat, minlength=n_groups * total_days)
     return counts.reshape(n_groups, total_days)
-
-
-def windows_per_day(window_hours: float) -> int:
-    """How many windows fit in one day (must divide 24 exactly)."""
-    ratio = HOURS_PER_DAY / window_hours
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise DataError(f"window_hours {window_hours} must divide 24")
-    return int(round(ratio))

@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis.cart.splitter import (
-    Split,
-    best_split,
-    best_split_for_feature,
-)
-from repro.errors import DataError
-from repro.telemetry.schema import FeatureKind, FeatureSpec
+from repro.analysis.cart.splitter import Split, best_split_for_feature
+from repro.analysis.cart.tree import RegressionTree, TreeParams
+from repro.errors import DataError, FitError
+from repro.telemetry.schema import FeatureKind, FeatureSpec, Schema
 
 
 def continuous(name="x"):
@@ -112,6 +109,14 @@ class TestSplitDataclass:
 
 
 class TestBestSplitAcrossFeatures:
+    """The grower's cross-feature step, read off a one-split tree."""
+
+    @staticmethod
+    def root_split(matrix, y, specs, min_bucket):
+        params = TreeParams(max_depth=1, min_split=2 * min_bucket,
+                            min_bucket=min_bucket, cp=0.0)
+        return RegressionTree(params).fit(matrix, y, Schema(tuple(specs))).root.split
+
     def test_picks_most_informative_feature(self):
         rng = np.random.default_rng(1)
         n = 300
@@ -120,15 +125,14 @@ class TestBestSplitAcrossFeatures:
         y = np.where(informative <= 0.5, 0.0, 4.0) + rng.normal(0, 0.1, n)
         matrix = np.column_stack([noise, informative])
         specs = [continuous("noise"), continuous("signal")]
-        split = best_split(matrix, y, np.ones(n), specs, 10)
+        split = self.root_split(matrix, y, specs, 10)
         assert split is not None
         assert split.feature_name == "signal"
         assert split.feature_index == 1
 
     def test_schema_mismatch_rejected(self):
-        with pytest.raises(DataError):
-            best_split(np.zeros((5, 2)), np.zeros(5), np.ones(5),
-                       [continuous()], 2)
+        with pytest.raises(FitError):
+            self.root_split(np.zeros((5, 2)), np.zeros(5), [continuous()], 2)
 
     def test_mixed_types_handled(self):
         rng = np.random.default_rng(2)
@@ -138,6 +142,6 @@ class TestBestSplitAcrossFeatures:
         y = np.where(codes == 1, 5.0, 0.0)
         matrix = np.column_stack([x, codes])
         specs = [continuous("x"), nominal("c", 3)]
-        split = best_split(matrix, y, np.ones(n), specs, 10)
+        split = self.root_split(matrix, y, specs, 10)
         assert split is not None
         assert split.feature_name == "c"

@@ -7,7 +7,6 @@ from repro.analysis.clustering import Cluster, clusters_from_tree
 from repro.analysis.cart.tree import RegressionTree, TreeParams
 from repro.analysis.multi_factor import MultiFactorModel
 from repro.analysis.single_factor import SingleFactorModel
-from repro.decisions.sku_ranking import default_q2_tree_params
 from repro.decisions.tco import TcoModel
 from repro.reporting.experiments import run_all
 from repro.telemetry.schema import FeatureKind, FeatureSpec, Schema
@@ -87,13 +86,6 @@ class TestTcoProcurement:
         # Spare CapEx scales with (price + overhead).
         expected_spare_cost = 0.2 * 100 * (100.0 + tco.params.facility_overhead)
         assert with_spares - base == pytest.approx(expected_spare_cost)
-
-
-class TestDefaultQ2Params:
-    def test_sensible_defaults(self):
-        params = default_q2_tree_params()
-        assert params.max_depth >= 5
-        assert params.min_bucket >= 10
 
 
 class TestRebuildImportance:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.cart.tree import RegressionTree
 from repro.decisions.climate import (
     FIG16_TEMP_BINS,
     climate_group_rates,
@@ -18,8 +19,57 @@ from repro.errors import ConfigError, DataError
 
 
 @pytest.fixture(scope="module")
-def comparison(small_context):
-    return compare_skus(small_context.result, table=small_context.hardware_failures)
+def comparison_and_trees(small_context):
+    """compare_skus on the small run, with the params of each tree it grew."""
+    grown = []
+    fit = RegressionTree.fit
+
+    def counting_fit(tree, *args, **kwargs):
+        grown.append(tree.params)
+        return fit(tree, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RegressionTree, "fit", counting_fit)
+        comparison = compare_skus(small_context.result,
+                                  table=small_context.hardware_failures)
+    return comparison, grown
+
+
+@pytest.fixture(scope="module")
+def comparison(comparison_and_trees):
+    return comparison_and_trees[0]
+
+
+class TestSkuComparisonFits:
+    def test_grows_each_stratifier_once_and_nothing_else(
+            self, comparison_and_trees):
+        # λ and μ-fraction, each stratified once for the per-SKU stats
+        # and once (shared by the ratio and the common-support stats)
+        # for the S2/S4 pair.
+        _, grown = comparison_and_trees
+        assert len(grown) == 4
+
+
+class TestSkuComparisonPins:
+    """``compare_skus`` on ``small_context``, recorded before presorted
+    CART growth (per-node search); relative, not bitwise, because the
+    suite runs on unpinned numpy."""
+
+    def test_s2_s4_ratios(self, comparison):
+        assert comparison.mf_ratio("S2", "S4") == pytest.approx(
+            float.fromhex("0x1.5e7911b0655bfp+1"), rel=1e-9)
+        assert comparison.sf_ratio("S2", "S4") == pytest.approx(
+            float.fromhex("0x1.1ffccd985da65p+3"), rel=1e-9)
+
+    def test_mf_mean_per_sku(self, comparison):
+        expected = {
+            "S1": 0.06367080586001092, "S2": 0.21593740468839154,
+            "S3": 0.07393332245594023, "S4": 0.05428800486445224,
+            "S5": 0.08453423539116565, "S6": 0.07193847073703152,
+            "S7": 0.02251201098146877,
+        }
+        means = {sku: stats.mean for sku, stats in comparison.mf_mean.items()}
+        assert means == pytest.approx(expected, rel=1e-9)
 
 
 class TestSkuComparison:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import pathlib
 import tempfile
 
@@ -129,6 +130,25 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="corrupt") as raised:
             load_feature_state(path, inventory)
         assert str(path) in str(raised.value)
+
+    @pytest.mark.parametrize("key", ["extractor", "events_seen",
+                                     "inventory_fingerprint"])
+    def test_missing_meta_key_named(self, inventory, tmp_path, key):
+        path = save_feature_state(StreamingFeatures(inventory),
+                                  tmp_path / "features.npz")
+        with np.load(path) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+        meta = json.loads(bytes(arrays["meta_json"].tobytes()).decode())
+        del meta[key]
+        arrays["meta_json"] = np.frombuffer(
+            json.dumps(meta).encode(), dtype=np.uint8,
+        )
+        tampered = tmp_path / "tampered.npz"
+        with tampered.open("wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(DataError, match=key) as raised:
+            load_feature_state(tampered, inventory)
+        assert str(tampered) in str(raised.value)
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())

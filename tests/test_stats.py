@@ -10,7 +10,6 @@ from repro.telemetry.stats import (
     binned_mean_sd,
     ecdf,
     make_range_bins,
-    normalize_to_max,
     weighted_mean,
 )
 
@@ -64,20 +63,6 @@ class TestEcdf:
     def test_probabilities_monotone(self, sample):
         cdf = ecdf(np.array(sample))
         assert np.all(np.diff(cdf.probabilities) > 0)
-
-
-class TestNormalize:
-    def test_scales_to_unit_max(self):
-        out = normalize_to_max(np.array([2.0, 4.0, 1.0]))
-        assert out.max() == pytest.approx(1.0)
-        assert out.tolist() == pytest.approx([0.5, 1.0, 0.25])
-
-    def test_all_zero_stays_zero(self):
-        assert normalize_to_max(np.zeros(3)).tolist() == [0, 0, 0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            normalize_to_max(np.array([]))
 
 
 class TestBins:

@@ -144,6 +144,30 @@ class TestRefusals:
         with pytest.raises(DataError, match="schema"):
             load_checkpoint(tampered, inventory)
 
+    @pytest.mark.parametrize("key", ["parts", "events_seen",
+                                     "inventory_fingerprint"])
+    @pytest.mark.parametrize("reader", ["meta", "load"])
+    def test_missing_meta_key_named(self, half_streamed, tmp_path, key,
+                                    reader):
+        inventory, analyzer = half_streamed
+        path = save_checkpoint(analyzer, tmp_path / "c.npz")
+        with np.load(path) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+        meta = json.loads(bytes(arrays["meta_json"].tobytes()).decode())
+        del meta[key]
+        arrays["meta_json"] = np.frombuffer(
+            json.dumps(meta).encode(), dtype=np.uint8,
+        )
+        tampered = tmp_path / "tampered.npz"
+        with tampered.open("wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(DataError, match=key) as raised:
+            if reader == "meta":
+                checkpoint_meta(tampered)
+            else:
+                load_checkpoint(tampered, inventory)
+        assert str(tampered) in str(raised.value)
+
     def test_position_enforced_after_resume(self, half_streamed,
                                             tiny_run, tmp_path):
         inventory, analyzer = half_streamed

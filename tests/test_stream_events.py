@@ -139,8 +139,8 @@ class TestStreamInventory:
         dataset = FieldDataset.from_result(tiny_run)
         decommission = dataset.decommission_day.copy()
         decommission[0] = 7
-        inventory = StreamInventory.from_field_dataset(
-            dataset.replace(decommission_day=decommission)
+        inventory = StreamInventory.from_fleet(
+            dataset.fleet, dataset.n_days, decommission_day=decommission,
         )
         assert inventory.decommission_day[0] == 7
         events = block_events(blocks_from_parts(

@@ -146,7 +146,10 @@ class TestCalibrationContract:
             mu_matrix(result), result.fleet.arrays().n_servers,
             AvailabilitySla(1.0),
         )
-        inventory = StreamInventory.from_field_dataset(dataset)
+        inventory = StreamInventory.from_fleet(
+            dataset.fleet, dataset.n_days,
+            decommission_day=dataset.decommission_day,
+        )
         analyzer = StreamAnalyzer(inventory, sla=AvailabilitySla(1.0),
                                   spare_fraction=fraction)
         analyzer.consume_blocks(blocks_from_parts(

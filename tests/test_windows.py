@@ -10,7 +10,6 @@ from repro.telemetry.windows import (
     interval_window_counts,
     n_windows,
     per_group_window_counts,
-    windows_per_day,
 )
 
 
@@ -181,13 +180,3 @@ class TestEventDayCounts:
         counts = event_day_counts(groups, days, 4, 30)
         assert counts.sum() == 200
 
-
-class TestWindowsPerDay:
-    def test_exact_divisors(self):
-        assert windows_per_day(24.0) == 1
-        assert windows_per_day(1.0) == 24
-        assert windows_per_day(6.0) == 4
-
-    def test_non_divisor_rejected(self):
-        with pytest.raises(DataError):
-            windows_per_day(7.0)
