@@ -7,6 +7,9 @@ per session:
 * ``tiny_run`` — a few racks, four months; fast, for structural tests.
 * ``small_run`` — quarter scale, eighteen months; statistically stable
   enough for calibration and ground-truth-recovery assertions.
+
+The whole-repo ``repro lint`` run is shared the same way
+(``repo_lint_report``).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import pytest
 
 import repro
 from repro.reporting import AnalysisContext
+from repro.staticcheck import LintReport, lint_paths, load_baseline
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +37,14 @@ def small_run() -> repro.SimulationResult:
 def small_context(small_run) -> AnalysisContext:
     """Cached analysis context over ``small_run``."""
     return AnalysisContext(small_run)
+
+
+@pytest.fixture(scope="session")
+def repo_lint_report() -> LintReport:
+    """One whole-repo lint run against the committed baseline.
+
+    Tests that only read whole-repo findings filter this report by rule
+    instead of linting the tree again; tests of option handling (rule
+    filters, the CLI) keep their own runs.
+    """
+    return lint_paths(baseline=load_baseline())

@@ -11,13 +11,11 @@ wrappers over the rule rather than a second hand-rolled walker.
 
 import pathlib
 
-from repro.staticcheck import lint_paths
 from repro.staticcheck.contract import (
     ANALYSIS_PACKAGES,
     FORBIDDEN_GROUND_TRUTH_MODULES,
     ground_truth_attributes,
 )
-from repro.staticcheck.framework import get_rule
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -30,25 +28,24 @@ FORBIDDEN_ATTRIBUTES = (
 )
 
 
-def gt_leak_findings():
-    report = lint_paths([SRC], rules=[get_rule("GT-leak")])
-    return report.all_findings
+def gt_leak_findings(report):
+    return [f for f in report.all_findings if f.rule == "GT-leak"]
 
 
 class TestFieldDataBoundary:
-    def test_no_hazard_imports(self):
+    def test_no_hazard_imports(self, repo_lint_report):
         offenders = [
-            finding.location() for finding in gt_leak_findings()
+            finding.location() for finding in gt_leak_findings(repo_lint_report)
             if "import" in finding.message
         ]
         assert not offenders, (
             f"analysis-side modules import the hazard ground truth: {offenders}"
         )
 
-    def test_no_ground_truth_attribute_reads(self):
+    def test_no_ground_truth_attribute_reads(self, repo_lint_report):
         offenders = [
             f"{finding.location()}: {finding.message}"
-            for finding in gt_leak_findings()
+            for finding in gt_leak_findings(repo_lint_report)
             if "import" not in finding.message
         ]
         assert not offenders, (

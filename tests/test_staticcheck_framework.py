@@ -208,9 +208,9 @@ class TestRunner:
         assert report.n_modules == 1
         assert any(f.rule == "float-eq" for f in report.findings)
 
-    def test_lint_paths_subpackage_restricts_modules(self):
+    def test_lint_paths_subpackage_restricts_modules(self, repo_lint_report):
         report = lint_paths([SRC / "stream"])
-        full = lint_paths([SRC])
+        full = repo_lint_report
         assert 0 < report.n_modules < full.n_modules
         assert report.n_modules == len(list((SRC / "stream").rglob("*.py")))
 
@@ -224,8 +224,8 @@ class TestRunner:
         with pytest.raises(DataError, match="no such lint target"):
             lint_paths([tmp_path / "ghost"])
 
-    def test_repo_lints_clean_with_committed_baseline(self):
-        report = lint_paths(baseline=load_baseline())
+    def test_repo_lints_clean_with_committed_baseline(self, repo_lint_report):
+        report = repo_lint_report
         assert report.ok, render_text(report)
         assert len(report.baselined) == 1
 
