@@ -114,6 +114,28 @@ class RmaTicket:
         )
 
 
+def batch_winners(batch_id: np.ndarray, ordinal: np.ndarray) -> np.ndarray:
+    """Row index of each correlated batch's counted row, in batch-id order.
+
+    A batch is filed as one RMA, and the row that stands for it is the
+    one with the smallest ``ordinal`` (its position in the ticket log),
+    whatever order the rows arrive in.  Rows with ``batch_id < 0``
+    belong to no batch and are never returned.  The one dedupe rule for
+    λ: :meth:`TicketLog.batch_dedupe_mask` applies it to the whole log,
+    :class:`~repro.stream.estimators.StreamingLambda` to each block.
+    """
+    batch_id = np.asarray(batch_id)
+    ordinal = np.asarray(ordinal)
+    if batch_id.shape != ordinal.shape:
+        raise DataError("batch/ordinal arrays must be aligned")
+    rows = np.flatnonzero(batch_id >= 0)
+    rows = rows[np.lexsort((ordinal[rows], batch_id[rows]))]
+    keys = batch_id[rows]
+    first = np.ones(len(rows), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return rows[first]
+
+
 class TicketLog:
     """Columnar accumulator of RMA tickets for a whole simulation run.
 
@@ -269,19 +291,8 @@ class TicketLog:
         (λ, Table II) therefore count each batch once, while the
         concurrent-unavailability metric μ uses every device interval.
         """
-        batch = self.batch_id
-        keep = np.ones(len(self), dtype=bool)
-        in_batch = batch >= 0
-        if in_batch.any():
-            # Keep only the first row of each batch id.
-            seen: set[int] = set()
-            batch_rows = np.flatnonzero(in_batch)
-            for row in batch_rows.tolist():
-                bid = int(batch[row])
-                if bid in seen:
-                    keep[row] = False
-                else:
-                    seen.add(bid)
+        keep = self.batch_id < 0
+        keep[batch_winners(self.batch_id, np.arange(len(self)))] = True
         return keep
 
     def mask_for_faults(self, faults: list[FaultType] | tuple[FaultType, ...]) -> np.ndarray:

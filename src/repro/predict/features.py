@@ -35,13 +35,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..failures.tickets import FAULT_CODE, FaultType, HARDWARE_FAULTS
-from ..stream.blocks import (
-    KIND_RANK,
-    EventBlock,
-    EventKind,
-    StreamInventory,
-    group_start_flags,
-)
+from ..stream.blocks import KIND_RANK, EventBlock, EventKind, StreamInventory
 from ..telemetry.io import load_array_bundle, require_meta_keys
 from ..telemetry.schema import (
     INVENTORY_CSV,
@@ -51,6 +45,7 @@ from ..telemetry.schema import (
     Schema,
 )
 from ..telemetry.table import Table
+from ..telemetry.windows import group_start_flags
 
 _SENSOR_CODE = KIND_RANK[EventKind.SENSOR_SAMPLE]
 

@@ -35,11 +35,6 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .estimators import StreamingGroupCounts, StreamingLambda, StreamingMu
-from .tables import (
-    lambda_matrix_from_blocks,
-    mu_matrix_from_blocks,
-    rack_day_table_from_blocks,
-)
 from .triggers import (
     Alert,
     AlertKind,
@@ -73,9 +68,6 @@ __all__ = [
     "checkpoint_meta",
     "directory_inventory",
     "follow_directory",
-    "lambda_matrix_from_blocks",
     "load_checkpoint",
-    "mu_matrix_from_blocks",
-    "rack_day_table_from_blocks",
     "save_checkpoint",
 ]

@@ -744,15 +744,16 @@ def blocks_from_directory(
 
 
 def _check_appended(
-    tickets: "TicketLog", first_new: int, released: float,
-    path: pathlib.Path,
+    tickets: "TicketLog", first_new: int, path: pathlib.Path,
 ) -> None:
-    """Refuse appended rows that could sort ahead of released records."""
+    """Refuse appended rows that could sort ahead of released records.
+
+    Released records end at the last row's start; an appended row that
+    starts no earlier cannot open or (its repair time being
+    non-negative, which ingest enforces) close before them.
+    """
     start = np.asarray(
         tickets.column_view(TICKET_LOG.start_hour_abs), dtype=np.float64,
-    )
-    repair = np.asarray(
-        tickets.column_view(TICKET_LOG.repair_hours), dtype=np.float64,
     )
     begin = max(first_new - 1, 0)
     backwards = np.nonzero(np.diff(start[begin:]) < 0)[0]
@@ -761,13 +762,6 @@ def _check_appended(
         raise DataError(
             f"{path}: row {row + 2}: tickets must be appended in "
             "start-time order for --follow"
-        )
-    early = np.nonzero(start[first_new:] + repair[first_new:] < released)[0]
-    if len(early):
-        row = first_new + int(early[0])
-        raise DataError(
-            f"{path}: row {row + 2}: ticket closes before events already "
-            "streamed"
         )
 
 
@@ -829,7 +823,7 @@ def follow_directory(
                 break
         else:
             idle_polls = 0
-            _check_appended(grown, seen, released, tickets_path)
+            _check_appended(grown, seen, tickets_path)
             tickets = grown
             released = float(
                 tickets.column_view(TICKET_LOG.start_hour_abs)[-1]
@@ -959,48 +953,3 @@ class BlockSegment:
             pools={name: tuple(labels)
                    for name, labels in meta.get("pools", {}).items()},
         )
-
-
-# ---------------------------------------------------------------------------
-# Segmented scans: exact per-group prefix reductions for the vectorized
-# consumers (μ interval merge, the SLA down-gauge).
-
-
-def group_start_flags(sorted_keys: np.ndarray) -> np.ndarray:
-    """True where a new group begins in a group-sorted key array."""
-    flags = np.empty(len(sorted_keys), dtype=bool)
-    if len(flags):
-        flags[0] = True
-        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=flags[1:])
-    return flags
-
-
-def segmented_scan(
-    values: np.ndarray,
-    starts: np.ndarray,
-    op,
-) -> np.ndarray:
-    """Inclusive per-group prefix reduction (groups are contiguous).
-
-    Hillis–Steele over log₂(n) doubling passes: element *i* folds in
-    element *i − shift* whenever both sit in the same group.  Exact for
-    any associative ``op`` (``np.maximum``, ``np.minimum``, integer
-    ``np.add``) — no floating-point re-bracketing tricks, which is what
-    keeps the vectorized μ merge bit-identical to the batch sort-and-merge.
-    """
-    n = len(values)
-    out = values.copy()
-    if n == 0:
-        return out
-    position = np.arange(n)
-    first = np.maximum.accumulate(np.where(starts, position, 0))
-    offset = position - first
-    shift = 1
-    while shift < n:
-        eligible = offset >= shift
-        shifted = np.empty_like(out)
-        shifted[shift:] = out[:-shift]
-        shifted[:shift] = out[:shift]  # never read: offset < shift there
-        np.copyto(out, op(out, shifted), where=eligible)
-        shift <<= 1
-    return out

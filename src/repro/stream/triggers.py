@@ -36,14 +36,8 @@ import numpy as np
 from ..decisions.availability import AvailabilitySla, uniform_fraction_for_pool
 from ..errors import DataError
 from ..failures.tickets import HARDWARE_FAULTS
-from .blocks import (
-    KIND_RANK,
-    EventBlock,
-    EventKind,
-    StreamInventory,
-    group_start_flags,
-    segmented_scan,
-)
+from ..telemetry.windows import group_start_flags, segmented_scan
+from .blocks import KIND_RANK, EventBlock, EventKind, StreamInventory
 from .estimators import _fault_codes
 
 _OPEN_CODE = KIND_RANK[EventKind.TICKET_OPEN]

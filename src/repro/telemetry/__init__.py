@@ -41,8 +41,9 @@ from .stats import (
 )
 from .table import Table
 from .windows import (
+    add_window_intervals,
     event_day_counts,
-    interval_window_counts,
+    merge_sorted_intervals,
     n_windows,
     per_group_window_counts,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "FeatureSpec",
     "Schema",
     "Table",
+    "add_window_intervals",
     "binned_mean_sd",
     "build_rack_day_table",
     "burstiness_by_sku",
@@ -69,10 +71,10 @@ __all__ = [
     "fano_factor",
     "fleet_schema",
     "inter_arrival_hours",
-    "interval_window_counts",
     "lambda_matrix",
     "make_range_bins",
     "mean_rate_by",
+    "merge_sorted_intervals",
     "mtbf_hours",
     "mu_matrix",
     "n_windows",

@@ -33,6 +33,7 @@ from .schema import FeatureKind, FeatureSpec, Schema, table_iii_schema
 from .table import Table
 from .windows import (
     event_day_counts,
+    merge_sorted_intervals,
     n_windows,
     per_group_window_counts,
 )
@@ -103,35 +104,10 @@ def merge_per_server_intervals(
     ends = np.asarray(end_hours, dtype=float)
     if not (len(server_gid) == len(starts) == len(ends)):
         raise DataError("gid/start/end arrays must be aligned")
-    if len(server_gid) == 0:
-        return server_gid, starts, ends
-
     order = np.lexsort((starts, server_gid))
-    gid_sorted = server_gid[order]
-    start_sorted = starts[order]
-    end_sorted = ends[order]
-
-    merged_gid: list[int] = []
-    merged_start: list[float] = []
-    merged_end: list[float] = []
-    current_gid = int(gid_sorted[0])
-    current_start = float(start_sorted[0])
-    current_end = float(end_sorted[0])
-    for gid, start, end in zip(gid_sorted[1:].tolist(),
-                               start_sorted[1:].tolist(),
-                               end_sorted[1:].tolist()):
-        if gid == current_gid and start <= current_end:
-            current_end = max(current_end, end)
-            continue
-        merged_gid.append(current_gid)
-        merged_start.append(current_start)
-        merged_end.append(current_end)
-        current_gid, current_start, current_end = gid, start, end
-    merged_gid.append(current_gid)
-    merged_start.append(current_start)
-    merged_end.append(current_end)
-    return (np.array(merged_gid, dtype=np.int64),
-            np.array(merged_start), np.array(merged_end))
+    gid, starts, ends = server_gid[order], starts[order], ends[order]
+    first_row, merged_end = merge_sorted_intervals(gid, starts, ends)
+    return gid[first_row], starts[first_row], merged_end
 
 
 def mu_matrix(
@@ -239,47 +215,8 @@ def build_rack_day_table(
             (noisy, interpolated) rather than simulator ground truth.
         include_mu: add the μ columns described above.
     """
-    failures = lambda_matrix(result, faults)
-    extra_counts = {}
-    for name, fault_list in (extra_fault_columns or {}).items():
-        extra_counts[name] = lambda_matrix(result, fault_list)
-    mu = mu_matrix(result, window_hours=24.0) if include_mu else None
-    return assemble_rack_day_table(
-        result, failures, extra_counts=extra_counts,
-        use_observed_environment=use_observed_environment, mu=mu,
-    )
-
-
-def assemble_rack_day_table(
-    result: SimulationResult,
-    failures: np.ndarray,
-    extra_counts: dict[str, np.ndarray] | None = None,
-    use_observed_environment: bool = True,
-    mu: np.ndarray | None = None,
-) -> Table:
-    """Assemble the rack-day table from precomputed count matrices.
-
-    The feature-tiling half of :func:`build_rack_day_table`, split out
-    so count matrices from *any* source — the batch λ/μ functions here
-    or the streaming/columnar estimators in
-    :mod:`repro.stream.tables` — produce the identical table.
-
-    Args:
-        result: simulation run (features, calendar, environment).
-        failures: (n_racks, n_days) count matrix for ``failures``.
-        extra_counts: additional named (n_racks, n_days) count columns.
-        use_observed_environment: read temperature/RH from the BMS.
-        mu: optional (n_racks, n_days) daily μ matrix; adds the ``mu``
-            and ``mu_fraction`` columns when given.
-    """
     arrays = result.fleet.arrays()
     n_racks, total_days = arrays.n_racks, result.n_days
-    if failures.shape != (n_racks, total_days):
-        raise DataError(
-            f"failures matrix must be ({n_racks}, {total_days}), "
-            f"got {failures.shape}"
-        )
-    extra_counts = extra_counts or {}
 
     if use_observed_environment:
         temp = result.bms.filled_temp_f().T  # (racks, days)
@@ -318,11 +255,12 @@ def assemble_rack_day_table(
         "week_of_year": tile_day(day_features["week_of_year"]),
         "month": tile_day(day_features["month"]),
         "year": tile_day(day_features["year"]),
-        "failures": failures.ravel()[flat].astype(float),
+        "failures": lambda_matrix(result, faults).ravel()[flat].astype(float),
     }
-    for name, matrix in extra_counts.items():
-        columns[name] = matrix.ravel()[flat].astype(float)
-    if mu is not None:
+    for name, fault_list in (extra_fault_columns or {}).items():
+        columns[name] = lambda_matrix(result, fault_list).ravel()[flat].astype(float)
+    if include_mu:
+        mu = mu_matrix(result, window_hours=24.0)
         columns["mu"] = mu.ravel()[flat].astype(float)
         capacity = np.repeat(arrays.n_servers.astype(float), total_days)[flat]
         columns["mu_fraction"] = columns["mu"] / capacity

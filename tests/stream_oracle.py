@@ -11,7 +11,10 @@ block paths are property-tested against:
 * ``Reference*`` subclasses — per-event ``update(event)`` rules for
   the consumers that have no batch counterpart to compare against
   (λ and μ are checked against :mod:`repro.telemetry.aggregate`
-  instead).
+  instead);
+* :func:`reference_merge_per_server_intervals` and
+  :func:`reference_batch_dedupe_mask` — the row-by-row interval merge
+  and batch dedupe that the λ/μ array kernels replaced.
 """
 
 from __future__ import annotations
@@ -430,3 +433,65 @@ class ReferencePredictiveMonitor(PredictiveMonitor):
             alerts = self._roll_to(day)
         self.features.update(event)
         return alerts
+
+
+# ---------------------------------------------------------------------------
+# λ/μ rules, one row at a time: the references for the array kernels.
+
+
+def reference_merge_per_server_intervals(
+    server_gid: np.ndarray,
+    start_hours: np.ndarray,
+    end_hours: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort by (server, start), then merge greedily in one Python loop.
+
+    Returns (server_gid, start, end) of the merged intervals.
+    """
+    server_gid = np.asarray(server_gid, dtype=np.int64)
+    starts = np.asarray(start_hours, dtype=float)
+    ends = np.asarray(end_hours, dtype=float)
+    if not (len(server_gid) == len(starts) == len(ends)):
+        raise DataError("gid/start/end arrays must be aligned")
+    if len(server_gid) == 0:
+        return server_gid, starts, ends
+
+    order = np.lexsort((starts, server_gid))
+    gid_sorted = server_gid[order]
+    start_sorted = starts[order]
+    end_sorted = ends[order]
+
+    merged_gid: list[int] = []
+    merged_start: list[float] = []
+    merged_end: list[float] = []
+    current_gid = int(gid_sorted[0])
+    current_start = float(start_sorted[0])
+    current_end = float(end_sorted[0])
+    for gid, start, end in zip(gid_sorted[1:].tolist(),
+                               start_sorted[1:].tolist(),
+                               end_sorted[1:].tolist()):
+        if gid == current_gid and start <= current_end:
+            current_end = max(current_end, end)
+            continue
+        merged_gid.append(current_gid)
+        merged_start.append(current_start)
+        merged_end.append(current_end)
+        current_gid, current_start, current_end = gid, start, end
+    merged_gid.append(current_gid)
+    merged_start.append(current_start)
+    merged_end.append(current_end)
+    return (np.array(merged_gid, dtype=np.int64),
+            np.array(merged_start), np.array(merged_end))
+
+
+def reference_batch_dedupe_mask(batch_id: np.ndarray) -> np.ndarray:
+    """Keep each batch id's first row in log order (and every -1 row)."""
+    keep = np.ones(len(batch_id), dtype=bool)
+    seen: set[int] = set()
+    for row in np.flatnonzero(np.asarray(batch_id) >= 0).tolist():
+        bid = int(batch_id[row])
+        if bid in seen:
+            keep[row] = False
+        else:
+            seen.add(bid)
+    return keep

@@ -68,6 +68,29 @@ class TestTicketRoundTrip:
         with pytest.raises(DataError, match="row 2.*belongs to"):
             load_tickets_csv(path, tiny_run.fleet)
 
+    @pytest.mark.parametrize("column, value", [
+        ("start_hour_abs", "nan"),
+        ("start_hour_abs", "inf"),
+        ("start_hour_abs", "-inf"),
+        ("repair_hours", "nan"),
+        ("repair_hours", "inf"),
+        ("repair_hours", "-inf"),
+        ("repair_hours", "-1.5"),
+    ])
+    def test_bad_ticket_time_names_file_row_and_column(
+            self, tiny_run, tmp_path, column, value):
+        path = tmp_path / "tickets.csv"
+        export_ticket_log_csv(tiny_run.tickets, tiny_run.fleet, path)
+        header = path.read_text().splitlines()[0].split(",")
+        _rewrite_cell(path, row=4, column_index=header.index(column),
+                      value=value)
+        with pytest.raises(DataError) as error:
+            load_tickets_csv(path, tiny_run.fleet)
+        message = str(error.value)
+        assert str(path) in message
+        assert "row 4" in message
+        assert repr(column) in message and repr(value) in message
+
     def test_missing_column_rejected(self, tiny_run, tmp_path):
         path = tmp_path / "tickets.csv"
         path.write_text("day_index,rack_id\n0,R1\n")

@@ -14,8 +14,8 @@ randomized ticket logs, at chunk sizes down to one event per block:
    checkpoint bundles.
 
 Plus the spill format (``BlockSegment`` save/load/mmap roundtrip), the
-interning pool, the pipeline ``blocks`` codec, the block-fed rack-day
-table, and the chunked CSV reader's error context.
+interning pool, the pipeline ``blocks`` codec, and the chunked CSV
+reader's error context.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import pytest
 
 from repro.decisions.availability import AvailabilitySla
 from repro.errors import DataError
-from repro.failures.tickets import FAULT_TYPES, HARDWARE_FAULTS, TicketLog
+from repro.failures.tickets import FAULT_TYPES, TicketLog
 from repro.fielddata import FieldDataset
 from repro.stream import (
     BlockSegment,
@@ -39,15 +39,10 @@ from repro.stream import (
     blocks_from_parts,
     blocks_from_result,
     load_checkpoint,
-    rack_day_table_from_blocks,
     save_checkpoint,
 )
 from repro.stream.triggers import RateDriftDetector, SlaRiskMonitor
-from repro.telemetry.aggregate import (
-    build_rack_day_table,
-    lambda_matrix,
-    mu_matrix,
-)
+from repro.telemetry.aggregate import lambda_matrix, mu_matrix
 from repro.telemetry.io import iter_csv_rows
 from stream_oracle import (
     ReferenceDriftDetector,
@@ -403,22 +398,6 @@ class TestBlocksPipelineStage:
         reloaded = warm.get(EVENT_BLOCKS_STAGE)
         assert reloaded.records.tobytes() == segment.records.tobytes()
         assert reloaded.start_seq == segment.start_seq
-
-
-class TestTablesFromBlocks:
-    def test_rack_day_table_identical(self, tiny_run):
-        batch = build_rack_day_table(
-            tiny_run, faults=list(HARDWARE_FAULTS), include_mu=True,
-            extra_fault_columns={"hw": list(HARDWARE_FAULTS)},
-        )
-        blocks = rack_day_table_from_blocks(
-            tiny_run, faults=list(HARDWARE_FAULTS), include_mu=True,
-            extra_fault_columns={"hw": list(HARDWARE_FAULTS)},
-            block_size=97,
-        )
-        assert batch.column_names == blocks.column_names
-        for name in batch.column_names:
-            assert np.array_equal(batch.column(name), blocks.column(name))
 
 
 class TestCsvErrorContext:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import DataError
 from repro.failures.tickets import FAULT_TYPES, HARDWARE_FAULTS, TicketLog
 from repro.fielddata import FieldDataset
 from repro.stream import (
@@ -173,6 +174,51 @@ class TestMuEquivalence:
             mu.update_block(block)
             mu.matrix()
         assert np.array_equal(mu.matrix(), mu_matrix(tiny_run))
+
+
+class TestNonFiniteRepair:
+    """A non-finite repair time fails both paths instead of skewing μ.
+
+    The edited ticket is a true-positive hardware ticket on a server that
+    files a later one, so its interval would be merged, not dropped.
+    """
+
+    @staticmethod
+    def _with_bad_repair(result, value):
+        log = result.tickets
+        arrays = result.fleet.arrays()
+        hardware = np.flatnonzero(log.hardware_mask() & ~log.false_positive)
+        gid = arrays.server_base[log.rack_index] + log.server_offset
+        row = next(
+            int(i) for i in hardware
+            if np.any((gid[hardware] == gid[i])
+                      & (log.start_hour_abs[hardware] > log.start_hour_abs[i]))
+        )
+        columns = {name: getattr(log, name).copy()
+                   for name in TicketLog._COLUMNS}
+        columns["repair_hours"][row] = value
+        edited = TicketLog()
+        edited.append_chunk(**columns)
+        edited.finalize()
+        dataset = FieldDataset.from_result(result).replace(tickets=edited)
+        return dataset.to_result(base=result)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_batch_mu_rejects(self, tiny_run, value):
+        result = self._with_bad_repair(tiny_run, value)
+        with pytest.raises(DataError, match="non-finite"):
+            mu_matrix(result)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_streaming_mu_rejects(self, tiny_run, value):
+        result = self._with_bad_repair(tiny_run, value)
+        arrays = result.fleet.arrays()
+        with pytest.raises(DataError, match="non-finite"):
+            fold_opens(
+                StreamingMu(arrays.n_servers, arrays.server_base,
+                            result.n_days),
+                result,
+            )
 
 
 class TestCheckpointResumeEquivalence:

@@ -311,7 +311,8 @@ class TestFollowDirectory:
     def test_close_before_released_events_rejected(self, follow_exports,
                                                    tmp_path):
         """A ticket whose close precedes what was already streamed (a
-        negative repair) cannot be followed exactly: refused."""
+        negative repair) cannot be followed exactly: refused at ingest,
+        naming the appended row and its column."""
         source = follow_exports[0]
         n_rows = len((source / "tickets.csv").read_text().splitlines()) - 1
         export = _GrowingExport(source, tmp_path, [n_rows // 2])
@@ -322,7 +323,10 @@ class TestFollowDirectory:
         def append_row(_interval):
             export.write(n_rows // 2, ",".join(row) + "\n")
 
-        with pytest.raises(DataError, match="closes before"):
+        with pytest.raises(
+            DataError,
+            match=f"row {n_rows // 2 + 2}: column 'repair_hours': '-1000.0'",
+        ):
             list(follow_directory(
                 tmp_path, SIM_CONFIG, poll_interval=0.0, max_idle_polls=2,
                 sleep=append_row,

@@ -7,10 +7,15 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import DataError
 from repro.telemetry.windows import (
     event_day_counts,
-    interval_window_counts,
     n_windows,
     per_group_window_counts,
 )
+
+
+def interval_window_counts(starts, ends, window_hours, total):
+    """One group's window counts: ``per_group_window_counts`` with one group."""
+    group = np.zeros(len(starts), dtype=np.int64)
+    return per_group_window_counts(group, starts, ends, 1, window_hours, total)[0]
 
 
 def brute_force_window_counts(starts, ends, window_hours, total):
