@@ -144,6 +144,23 @@ class TestRefusals:
         with pytest.raises(DataError, match="schema"):
             load_checkpoint(tampered, inventory)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_open_interval_refused(self, half_streamed, tmp_path,
+                                              bad):
+        inventory, analyzer = half_streamed
+        path = save_checkpoint(analyzer, tmp_path / "c.npz")
+        with np.load(path) as bundle:
+            arrays = {key: bundle[key] for key in bundle.files}
+        bounds = arrays["mu.open_bounds"].copy()
+        assert len(bounds), "fixture must leave an interval open"
+        bounds[0, 1] = bad
+        arrays["mu.open_bounds"] = bounds
+        tampered = tmp_path / "tampered.npz"
+        with tampered.open("wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(DataError, match="non-finite"):
+            load_checkpoint(tampered, inventory)
+
     @pytest.mark.parametrize("key", ["parts", "events_seen",
                                      "inventory_fingerprint"])
     @pytest.mark.parametrize("reader", ["meta", "load"])
