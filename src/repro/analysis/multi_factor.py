@@ -61,6 +61,45 @@ class AdjustedLevelStats:
     n_strata: int
 
 
+@dataclass(frozen=True)
+class _Strata:
+    """A stratifier's rows, sorted stably by (stratum, level code).
+
+    Every stratum and every (stratum, level) cell is one contiguous
+    slice holding the rows a boolean mask would select, in the same
+    order, so each mean, std and quantile over a slice is the same
+    float computation as over the masked rows.
+
+    Attributes:
+        bounds: stratum ``i`` (in ascending leaf id) holds sorted rows
+            ``[bounds[i], bounds[i + 1])``.
+        codes: the studied factor's code per sorted row.
+        y: the metric per sorted row.
+    """
+
+    bounds: np.ndarray
+    codes: np.ndarray
+    y: np.ndarray
+
+    @staticmethod
+    def sort(strata: np.ndarray, codes: np.ndarray, y: np.ndarray) -> "_Strata":
+        order = np.lexsort((codes, strata))
+        sorted_strata = strata[order]
+        starts = np.flatnonzero(np.r_[True, sorted_strata[1:] != sorted_strata[:-1]])
+        return _Strata(np.append(starts, len(order)), codes[order], y[order])
+
+    def slices(self) -> list[tuple[int, int]]:
+        """``(start, end)`` of each stratum, in ascending leaf id."""
+        bounds = self.bounds.tolist()
+        return list(zip(bounds[:-1], bounds[1:]))
+
+    def cell(self, start: int, end: int, code: int) -> np.ndarray:
+        """The metric over one stratum's rows at one level code."""
+        codes = self.codes[start:end]
+        return self.y[start + int(np.searchsorted(codes, code, "left")):
+                      start + int(np.searchsorted(codes, code, "right"))]
+
+
 class MultiFactorModel:
     """An MF model: CART over a formula's features.
 
@@ -91,7 +130,7 @@ class MultiFactorModel:
         self.sample_weight = sample_weight
         self.prune_by_cv = prune_by_cv
         self.cv_folds = cv_folds
-        self._strata: dict[tuple[str, TreeParams], tuple[np.ndarray, ...]] = {}
+        self._strata: dict[tuple[str, TreeParams], _Strata] = {}
 
     # -- construction ----------------------------------------------------
 
@@ -245,7 +284,7 @@ class MultiFactorModel:
             max_depth=8, min_split=max(4 * min_cell, 40),
             min_bucket=max(2 * min_cell, 20), cp=1e-4,
         )
-        strata, codes, y = self._stratify(feature, stratifier_params)
+        strata = self._stratify(feature, stratifier_params)
         spec = self.table.spec(feature)
         assert spec.categories is not None
         levels = range(len(spec.categories))
@@ -254,15 +293,13 @@ class MultiFactorModel:
                     "n": 0, "strata": 0}
             for level in levels
         }
-        for stratum in np.unique(strata):
-            in_stratum = strata == stratum
-            weight = float(in_stratum.sum())
+        for start, end in strata.slices():
+            weight = float(end - start)
             for level in levels:
-                cell = in_stratum & (codes == level)
-                count = int(cell.sum())
+                cell_y = strata.cell(start, end, level)
+                count = len(cell_y)
                 if count < min_cell:
                     continue
-                cell_y = y[cell]
                 acc = accumulators[level]
                 acc["w"] += weight
                 acc["mean"] += weight * float(cell_y.mean())
@@ -294,9 +331,9 @@ class MultiFactorModel:
         self,
         feature: str,
         stratifier_params: TreeParams,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(strata, codes, y): the N(·)-feature stratifier's leaf per row,
-        the studied factor's codes and the metric.
+    ) -> _Strata:
+        """The N(·)-feature stratifier's leaf per row, with the studied
+        factor's codes and the metric, sorted into cells (:class:`_Strata`).
 
         Fitted once per (feature, params) and kept, so estimators sharing
         a stratifier share its fit.
@@ -318,7 +355,7 @@ class MultiFactorModel:
         stratifier = RegressionTree(stratifier_params).fit(matrix_n, y, schema_n)
         strata = stratifier.apply(matrix_n)
         codes = self.table.column(feature).astype(np.int64)
-        self._strata[key] = (strata, codes, y)
+        self._strata[key] = _Strata.sort(strata, codes, y)
         return self._strata[key]
 
     @staticmethod
@@ -353,23 +390,22 @@ class MultiFactorModel:
         """
         spec = self.table.spec(feature)
         stratifier_params = stratifier_params or self.default_pairwise_stratifier()
-        strata, codes, y = self._stratify(feature, stratifier_params)
+        strata = self._stratify(feature, stratifier_params)
         assert spec.categories is not None
         code_a, code_b = spec.encode(label_a), spec.encode(label_b)
 
         log_ratio_sum = 0.0
         weight_sum = 0.0
-        for stratum in np.unique(strata):
-            in_stratum = strata == stratum
-            cell_a = in_stratum & (codes == code_a)
-            cell_b = in_stratum & (codes == code_b)
-            if cell_a.sum() < min_cell or cell_b.sum() < min_cell:
+        for start, end in strata.slices():
+            y_a = strata.cell(start, end, code_a)
+            y_b = strata.cell(start, end, code_b)
+            if len(y_a) < min_cell or len(y_b) < min_cell:
                 continue
-            rate_a = float(y[cell_a].mean())
-            rate_b = float(y[cell_b].mean())
+            rate_a = float(y_a.mean())
+            rate_b = float(y_b.mean())
             if rate_a <= 0 or rate_b <= 0:
                 continue
-            weight = float(min(cell_a.sum(), cell_b.sum()))
+            weight = float(min(len(y_a), len(y_b)))
             log_ratio_sum += weight * np.log(rate_a / rate_b)
             weight_sum += weight
         if weight_sum <= 0:
@@ -399,16 +435,15 @@ class MultiFactorModel:
             raise DataError("common support needs at least two levels")
         spec = self.table.spec(feature)
         stratifier_params = stratifier_params or self.default_pairwise_stratifier()
-        strata, codes, y = self._stratify(feature, stratifier_params)
+        strata = self._stratify(feature, stratifier_params)
         assert spec.categories is not None
         level_codes = {label: spec.encode(label) for label in labels}
 
-        shared = []
-        for stratum in np.unique(strata):
-            in_stratum = strata == stratum
-            if all((in_stratum & (codes == code)).sum() >= min_cell
-                   for code in level_codes.values()):
-                shared.append(stratum)
+        shared = [
+            (start, end) for start, end in strata.slices()
+            if all(len(strata.cell(start, end, code)) >= min_cell
+                   for code in level_codes.values())
+        ]
         if not shared:
             raise DataError(
                 f"no stratum supports all of {labels} with {min_cell}+ rows"
@@ -419,16 +454,14 @@ class MultiFactorModel:
             weight_sum = 0.0
             mean_sum = sd_sum = peak_sum = 0.0
             n_total = 0
-            for stratum in shared:
-                in_stratum = strata == stratum
-                cell = in_stratum & (codes == code)
-                weight = float(in_stratum.sum())
-                cell_y = y[cell]
+            for start, end in shared:
+                weight = float(end - start)
+                cell_y = strata.cell(start, end, code)
                 weight_sum += weight
                 mean_sum += weight * float(cell_y.mean())
                 sd_sum += weight * float(cell_y.std())
                 peak_sum += weight * float(np.quantile(cell_y, peak_quantile))
-                n_total += int(cell.sum())
+                n_total += len(cell_y)
             output[label] = AdjustedLevelStats(
                 label=label,
                 mean=mean_sum / weight_sum,

@@ -93,7 +93,9 @@ class SpareProvisioner:
     """Shared machinery for the three provisioning approaches.
 
     Builds the per-rack μ matrices once and answers LB/SF/MF queries for
-    any workload, SLA and window granularity.
+    any workload, SLA and window granularity.  Each MF clustering is
+    grown once per (workload, SLA, tree parameters) and kept, so every
+    later MF plan for the same question reuses it.
 
     Args:
         result: simulation run.
@@ -125,6 +127,11 @@ class SpareProvisioner:
             self._in_service.sum(axis=1) * window_hours / 24.0
         )
         self._eligible = service_days >= min_service_days
+        # (workload, sla, params) -> MF rack groups (description, racks).
+        self._clusterings: dict[
+            tuple[str, AvailabilitySla, TreeParams],
+            list[tuple[str, np.ndarray]],
+        ] = {}
 
     def _service_mask(self) -> np.ndarray:
         """(n_racks, n_windows) bool: window starts after commissioning."""
@@ -239,26 +246,7 @@ class SpareProvisioner:
             groups = [(description, members) for description, members in groups
                       if members.size]
         else:
-            requirement_fraction = np.array([
-                self.rack_requirement(r, sla) for r in racks
-            ]) / capacity
-            static = rack_static_table(self.result).take(racks)
-            features = ["dc", "region", "sku", "age_months", "rated_power_kw"]
-            matrix, schema = static.feature_matrix(features)
-            if params is None:
-                min_bucket = max(3, len(racks) // 18)
-                params = TreeParams(
-                    max_depth=6,
-                    min_split=2 * min_bucket,
-                    min_bucket=min_bucket,
-                    cp=0.004,
-                    max_leaves=12,
-                )
-            tree = RegressionTree(params).fit(matrix, requirement_fraction, schema)
-            groups = [
-                (cluster.description, racks[cluster.member_rows])
-                for cluster in clusters_from_tree(tree, matrix)
-            ]
+            groups = self._clustering(workload, sla, params, racks, capacity)
 
         rack_position = {rack: i for i, rack in enumerate(racks.tolist())}
         per_rack_fraction = np.empty(len(racks))
@@ -295,6 +283,45 @@ class SpareProvisioner:
             overprovision=overprovision,
             clusters=tuple(provisions),
         )
+
+    def _clustering(
+        self,
+        workload: str,
+        sla: AvailabilitySla,
+        params: TreeParams | None,
+        racks: np.ndarray,
+        capacity: np.ndarray,
+    ) -> list[tuple[str, np.ndarray]]:
+        """MF rack groups ``(description, member racks)``, grown once.
+
+        The tree regresses each rack's own requirement fraction on its
+        deployment-time features.  Callers get fresh member arrays, so
+        no two plans share one.
+        """
+        if params is None:
+            min_bucket = max(3, len(racks) // 18)
+            params = TreeParams(
+                max_depth=6,
+                min_split=2 * min_bucket,
+                min_bucket=min_bucket,
+                cp=0.004,
+                max_leaves=12,
+            )
+        key = (workload, sla, params)
+        if key not in self._clusterings:
+            requirement_fraction = np.array([
+                self.rack_requirement(r, sla) for r in racks
+            ]) / capacity
+            static = rack_static_table(self.result).take(racks)
+            features = ["dc", "region", "sku", "age_months", "rated_power_kw"]
+            matrix, schema = static.feature_matrix(features)
+            tree = RegressionTree(params).fit(matrix, requirement_fraction, schema)
+            self._clusterings[key] = [
+                (cluster.description, racks[cluster.member_rows])
+                for cluster in clusters_from_tree(tree, matrix)
+            ]
+        return [(description, members.copy())
+                for description, members in self._clusterings[key]]
 
     def compare(
         self,

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from ..decisions.availability import AvailabilitySla
 from ..decisions.climate import climate_group_rates, discover_climate_thresholds
-from ..decisions.sku_ranking import compare_skus
+from ..decisions.sku_ranking import SkuComparison, compare_skus
 from ..decisions.spares import SpareProvisioner
 from ..errors import ReproError
 from ..failures.engine import SimulationResult
@@ -44,7 +44,10 @@ METRIC_NAMES = (
 )
 
 
-def headline_metrics(result: SimulationResult) -> dict[str, float]:
+def headline_metrics(
+    result: SimulationResult,
+    comparison: SkuComparison | None = None,
+) -> dict[str, float]:
     """All headline metrics of one (possibly reconstituted) run.
 
     Same names and definitions as
@@ -53,10 +56,15 @@ def headline_metrics(result: SimulationResult) -> dict[str, float]:
     are each built once and reused for their SF and MF variants, which
     matters when the metrics are re-evaluated per severity level.
     Metrics a realization cannot support record NaN.
+
+    Args:
+        result: the run to analyze.
+        comparison: ``result``'s SKU comparison, when already computed
+            (ranked here otherwise).
     """
     values = dict.fromkeys(METRIC_NAMES, float("nan"))
     with contextlib.suppress(ReproError):
-        comparison = compare_skus(result)
+        comparison = comparison or compare_skus(result)
         values["Q2 SF S2/S4 average-rate ratio"] = float(
             comparison.sf_ratio("S2", "S4", "mean"))
         values["Q2 MF S2/S4 average-rate ratio"] = float(
@@ -103,6 +111,7 @@ def degrade_and_clean(
     result: SimulationResult,
     severity: float,
     seed: int | None = None,
+    comparison: SkuComparison | None = None,
 ) -> tuple[SimulationResult, NoisePoint]:
     """Degrade one run's field data, clean it, and re-analyze.
 
@@ -110,6 +119,10 @@ def degrade_and_clean(
     chain stays a pure function of (config, severity).  Returns the
     reconstituted result (sharing the base run's deterministic
     substrate) and the :class:`NoisePoint` for this severity.
+
+    ``comparison`` is the degraded run's SKU comparison, when already
+    computed: at severity 0 degrade→clean is the identity, so the
+    pristine run's ranking is that run's own.
     """
     pipeline_seed = result.config.seed if seed is None else seed
     dataset = FieldDataset.from_result(result)
@@ -118,7 +131,7 @@ def degrade_and_clean(
     degraded_result = cleaned.to_result(base=result)
     point = NoisePoint(
         severity=severity,
-        metrics=headline_metrics(degraded_result),
+        metrics=headline_metrics(degraded_result, comparison),
         lambda_naive=fleet_lambda(cleaned, censoring_aware=False),
         lambda_exposure=fleet_lambda(cleaned, censoring_aware=True),
         corruption=corruption,
@@ -127,16 +140,21 @@ def degrade_and_clean(
     return degraded_result, point
 
 
-def noise_point_payload(result: SimulationResult, severity: float) -> dict:
+def noise_point_payload(
+    result: SimulationResult,
+    severity: float,
+    comparison: SkuComparison | None = None,
+) -> dict:
     """One severity's :class:`NoisePoint`, as a JSON-serializable dict.
 
     This is the artifact behind the pipeline's ``fielddata:sev=…``
     stages (see :func:`stage_name`): everything the rendering needs —
     metrics, the two λ estimates and the cleaning summary text — and
     nothing process-bound, so it round-trips through the artifact
-    store's ``json`` codec bit-identically.
+    store's ``json`` codec bit-identically.  ``comparison`` is passed
+    on to :func:`degrade_and_clean`.
     """
-    point = degrade_and_clean(result, severity)[1]
+    point = degrade_and_clean(result, severity, comparison=comparison)[1]
     return {
         "severity": point.severity,
         "metrics": dict(point.metrics),

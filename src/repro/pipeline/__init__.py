@@ -26,7 +26,7 @@ from .stages import (
     build_report_pipeline,
     config_fingerprint,
     config_key,
-    fielddata_payload_stage,
+    noise_point_stages,
     render_stage_name,
     simulate_stage,
     summary_stage,
@@ -49,7 +49,7 @@ __all__ = [
     "config_fingerprint",
     "config_key",
     "execution_from_json",
-    "fielddata_payload_stage",
+    "noise_point_stages",
     "render_stage_name",
     "simulate_stage",
     "source_fingerprint",

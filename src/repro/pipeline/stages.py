@@ -15,6 +15,8 @@ render`` is spelled out as :class:`~repro.pipeline.core.Stage` objects:
   uncompressed ``.npz`` the store memory-maps back on a warm hit);
 * ``provisioner:{W}h`` / ``component_provisioner:{W}h`` — the Q1
   decision models;
+* ``sku_ranking`` — the Q2 SKU comparison (memory-only), ranked once
+  per run for Figs 14-15 and the severity-0 field-data payload;
 * ``fielddata:sev=S`` — the degradation payloads behind the
   ``fielddata`` experiment and the noise sweep (``codec="json"``);
 * ``predict:{features,train,score}`` — the failure-prediction sub-DAG;
@@ -42,6 +44,7 @@ from ..autonomics.experiment import (
     compute_autonomics_payload,
 )
 from ..decisions.component_spares import ComponentProvisioner
+from ..decisions.sku_ranking import compare_skus
 from ..decisions.spares import SpareProvisioner
 from ..errors import ConfigError
 from ..failures.engine import simulate
@@ -56,6 +59,7 @@ from ..predict.experiment import (
 from ..predict.model import train_predictor
 from ..reporting.context import (
     SIMULATE_STAGE,
+    SKU_RANKING_STAGE,
     SUMMARY_STAGE,
     AnalysisContext,
     autonomics_stage,
@@ -218,22 +222,60 @@ def _component_provisioner_stage(window_hours: float) -> Stage:
     )
 
 
+def sku_ranking_stage() -> Stage:
+    """The run's Q2 SKU comparison, ranked once for every consumer."""
+    hardware = rack_day_stage("hardware")
+
+    def run(inputs: dict, ctx: StageContext) -> Any:
+        return compare_skus(inputs[SIMULATE_STAGE], table=inputs[hardware])
+
+    return Stage(
+        SKU_RANKING_STAGE, run,
+        deps=(SIMULATE_STAGE, hardware),
+        code=("repro.decisions.sku_ranking",),
+    )
+
+
 def fielddata_payload_stage(severity: float) -> Stage:
-    """One field-data degradation payload (shared with the noise sweep)."""
+    """One field-data degradation payload (shared with the noise sweep).
+
+    At severity 0 degrade→clean is the identity, so that payload takes
+    the pristine run's ranking from the ``sku_ranking`` stage instead
+    of ranking the same run again; other severities rank their own
+    degraded runs.  No payload reads a provisioner stage: the
+    incremental re-render after a ``repro.decisions.spares`` edit would
+    otherwise recompute all of them.
+    """
+    deps: tuple[str, ...] = (SIMULATE_STAGE,)
+    if severity == 0:
+        deps += (SKU_RANKING_STAGE,)
+
     def run(inputs: dict, ctx: StageContext) -> dict:
-        return noise_point_payload(inputs[SIMULATE_STAGE], severity)
+        return noise_point_payload(inputs[SIMULATE_STAGE], severity,
+                                   comparison=inputs.get(SKU_RANKING_STAGE))
 
     return Stage(
         fielddata_stage(severity), run,
-        deps=(SIMULATE_STAGE,),
+        deps=deps,
         fingerprint_inputs={"severity": severity},
         code=(
             "repro.fielddata.corruption",
             "repro.fielddata.cleaning",
             "repro.fielddata.robustness",
+            "repro.decisions.sku_ranking",
+            "repro.decisions.climate",
         ),
         codec="json",
     )
+
+
+def noise_point_stages(config: "SimulationConfig",
+                       severities: Iterable[float]) -> list[Stage]:
+    """The sub-DAG behind one run's ``fielddata:sev=…`` payloads: the
+    run, what the severity-0 payload reads, one payload per severity."""
+    stages = [simulate_stage(config), *_rack_day_stages(), sku_ranking_stage()]
+    stages.extend(fielddata_payload_stage(s) for s in severities)
+    return stages
 
 
 def _predict_stages() -> Iterable[Stage]:
@@ -343,6 +385,7 @@ def analysis_stages(config: "SimulationConfig") -> list[Stage]:
     stages.extend(_rack_day_stages())
     stages.extend(_provisioner_stage(w) for w in PROVISIONER_WINDOWS)
     stages.append(_component_provisioner_stage(24.0))
+    stages.append(sku_ranking_stage())
     stages.extend(fielddata_payload_stage(s) for s in DEFAULT_SEVERITIES)
     stages.extend(_predict_stages())
     stages.extend(_autonomics_stages(config))

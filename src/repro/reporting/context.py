@@ -1,8 +1,8 @@
 """Shared analysis context: caches the expensive intermediate products.
 
 Reproducing all 18 figures needs the same handful of derived datasets
-(rack-day tables, μ matrices, provisioners) over and over; the context
-builds each once per simulation run.
+(rack-day tables, μ matrices, provisioners, the SKU ranking) over and
+over; the context builds each once per simulation run.
 
 Since the pipeline refactor the context is also a *lazy view* over a
 :class:`~repro.pipeline.core.Pipeline`: constructed with ``artifacts=``,
@@ -29,6 +29,9 @@ SIMULATE_STAGE = "simulate"
 
 #: Stage holding the run's one-line summary text.
 SUMMARY_STAGE = "summary"
+
+#: Stage holding the run's Q2 SKU comparison (Figs 14-15).
+SKU_RANKING_STAGE = "sku_ranking"
 
 
 def rack_day_stage(kind: str) -> str:
@@ -79,6 +82,7 @@ class AnalysisContext:
         self._disk_table: Table | None = None
         self._provisioners: dict[float, object] = {}
         self._component_provisioners: dict[float, object] = {}
+        self._sku_ranking = None
 
     def _from_artifacts(self, stage_name: str) -> Any:
         """The pipeline artifact for ``stage_name``, or None."""
@@ -119,6 +123,20 @@ class AnalysisContext:
                 )
             self._disk_table = table
         return self._disk_table
+
+    @property
+    def sku_ranking(self):
+        """Cached :class:`~repro.decisions.sku_ranking.SkuComparison`
+        over :attr:`hardware_failures` (Figs 14-15)."""
+        if self._sku_ranking is None:
+            ranking = self._from_artifacts(SKU_RANKING_STAGE)
+            if ranking is None:
+                from ..decisions.sku_ranking import compare_skus
+
+                ranking = compare_skus(self.result,
+                                       table=self.hardware_failures)
+            self._sku_ranking = ranking
+        return self._sku_ranking
 
     def provisioner(self, window_hours: float = 24.0):
         """Cached :class:`~repro.decisions.spares.SpareProvisioner`."""

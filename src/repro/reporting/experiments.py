@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from ..errors import DataError
 from . import figures, tables
 from .context import (
+    SKU_RANKING_STAGE,
     AnalysisContext,
     autonomics_stage,
     component_provisioner_stage,
@@ -100,7 +101,10 @@ def _autonomics(context: AnalysisContext) -> str:
 
 _TABLES = ("repro.reporting.tables",)
 _FIGURES = ("repro.reporting.figures",)
+#: Figs 16-18 call the Q3 binning and climate-group rules directly.
+_CLIMATE_FIGURES = _FIGURES + ("repro.decisions.climate",)
 _RACK_DAY_ALL = (rack_day_stage("all"),)
+_SKU_RANKING = (rack_day_stage("hardware"), SKU_RANKING_STAGE)
 
 
 def _registry() -> list[Experiment]:
@@ -163,18 +167,16 @@ def _registry() -> list[Experiment]:
                    code=_FIGURES),
         Experiment("fig14", "SKU comparison, single factor",
                    lambda ctx: figures.render_fig14(figures.fig14_fig15_sku(ctx)),
-                   stages=(rack_day_stage("hardware"),),
-                   code=_FIGURES),
+                   stages=_SKU_RANKING, code=_FIGURES),
         Experiment("fig15", "SKU comparison, multi factor",
                    lambda ctx: figures.render_fig15(figures.fig14_fig15_sku(ctx)),
-                   stages=(rack_day_stage("hardware"),),
-                   code=_FIGURES),
+                   stages=_SKU_RANKING, code=_FIGURES),
         Experiment("fig16", "All failures vs temperature", figures.fig16_temperature_all,
-                   stages=_RACK_DAY_ALL, code=_FIGURES),
+                   stages=_RACK_DAY_ALL, code=_CLIMATE_FIGURES),
         Experiment("fig17", "Disk failures vs temperature", figures.fig17_temperature_disk,
-                   stages=(rack_day_stage("disk"),), code=_FIGURES),
+                   stages=(rack_day_stage("disk"),), code=_CLIMATE_FIGURES),
         Experiment("fig18", "Disk failures vs T/RH groups per DC", figures.fig18_climate_mf,
-                   stages=(rack_day_stage("disk"),), code=_FIGURES),
+                   stages=(rack_day_stage("disk"),), code=_CLIMATE_FIGURES),
         Experiment("fielddata", "Headline metrics vs field-data corruption severity",
                    _fielddata_robustness,
                    stages=tuple(fielddata_stage(s) for s in FIELDDATA_SEVERITIES),

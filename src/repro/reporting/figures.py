@@ -22,7 +22,7 @@ from ..decisions.climate import (
     climate_group_rates,
     temperature_binned_rates,
 )
-from ..decisions.sku_ranking import FIG14_SKUS, compare_skus
+from ..decisions.sku_ranking import FIG14_SKUS
 from ..errors import DataError
 from ..telemetry.aggregate import mean_rate_by
 from ..telemetry.stats import BinSpec, binned_mean_sd, make_range_bins
@@ -359,10 +359,11 @@ def fig13_component_spares(
 def fig14_fig15_sku(context: AnalysisContext):
     """Figs 14-15: SKU reliability via SF and MF.
 
-    Returns the full :class:`~repro.decisions.sku_ranking.SkuComparison`;
-    use :func:`render_fig14` / :func:`render_fig15` for text output.
+    Returns the context's :class:`~repro.decisions.sku_ranking.SkuComparison`
+    (computed once per run, shared by both figures); use
+    :func:`render_fig14` / :func:`render_fig15` for text output.
     """
-    return compare_skus(context.result, table=context.hardware_failures)
+    return context.sku_ranking
 
 
 def render_fig14(comparison) -> str:

@@ -231,20 +231,17 @@ def _noise_sweep_worker(
     report's ``fielddata`` experiment resolves, so with a shared
     ``cache_dir`` the two drivers reuse each other's artifacts.
     (Severity 0's degrade→clean loop is bit-identical to analyzing the
-    pristine run directly; see :mod:`repro.fielddata.robustness`.)
+    pristine run directly, so that payload reads the run's
+    ``sku_ranking`` stage; see :mod:`repro.fielddata.robustness`.)
     """
     # Function-level import of a higher layer, allowed by the explicit
     # exception list in staticcheck.contract.LAYERING_EXCEPTIONS.
-    from ..pipeline import (
-        ArtifactStore, Pipeline, fielddata_payload_stage, simulate_stage,
-    )
+    from ..pipeline import ArtifactStore, Pipeline, noise_point_stages
     from .context import fielddata_stage
 
     config = _seed_config(seed, scale, n_days)
-    store = ArtifactStore(cache_dir)
-    stages = [simulate_stage(config)]
-    stages.extend(fielddata_payload_stage(severity) for severity in severities)
-    pipeline = Pipeline(stages, store=store)
+    pipeline = Pipeline(noise_point_stages(config, severities),
+                        store=ArtifactStore(cache_dir))
     return {
         severity: pipeline.get(fielddata_stage(severity))["metrics"]
         for severity in severities

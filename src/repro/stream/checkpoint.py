@@ -36,6 +36,7 @@ from ..decisions.availability import AvailabilitySla
 from ..errors import DataError
 from ..telemetry.io import load_array_bundle, require_meta_keys
 from ..telemetry.schema import TICKET_LOG
+from ..telemetry.windows import n_windows
 from .analyzer import StreamAnalyzer
 from .blocks import StreamInventory
 from .estimators import StreamingLambda, StreamingMu
@@ -159,6 +160,60 @@ def _read_checkpoint(path: pathlib.Path) -> tuple[dict[str, np.ndarray], dict]:
     return arrays, meta
 
 
+def _state_shapes(part: str, inventory: StreamInventory,
+                  meta: dict) -> dict[str, tuple]:
+    """Shape of each array a built-in part's ``state_arrays`` writes for
+    ``inventory`` and the part's metadata.  A string dimension is free
+    but shared by every array of the part that names it."""
+    n_racks = inventory.n_racks
+    if part == "lambda":
+        return {"counts": (n_racks, int(meta["n_days"])), "winners": ("k", 5)}
+    if part == "mu":
+        windows = n_windows(int(meta["n_days"]), float(meta["window_hours"]))
+        return {"diff": (n_racks, windows + 1), "open_gids": ("k",),
+                "open_bounds": ("k", 2)}
+    if part in ("sku", "dc"):
+        names = inventory.sku_names if part == "sku" else inventory.dc_names
+        return {"totals": (len(names),),
+                "ring": (len(names), int(meta["trailing_days"])),
+                "seen": ("k",)}
+    if part == "monitor":
+        return {"active_gids": ("k",), "active_counts": ("k",),
+                "down": (n_racks,), "breached": (n_racks,),
+                "spare_fraction": (n_racks,)}
+    return {"day_counts": (int(meta["n_days"]),), "seen": ("k",)}
+
+
+def _check_state_arrays(path: pathlib.Path, part: str,
+                        arrays: dict[str, np.ndarray], meta: dict,
+                        inventory: StreamInventory) -> None:
+    """Raise :class:`DataError` naming ``path`` and the array when one of
+    a part's state arrays is missing or has the wrong shape."""
+    try:
+        shapes = _state_shapes(part, inventory, meta)
+    except (KeyError, DataError) as error:
+        raise DataError(
+            f"{path}: metadata part {part!r} cannot size its arrays: {error!r}"
+        ) from error
+    free: dict[str, int] = {}
+    for name, expected in shapes.items():
+        if name not in arrays:
+            raise DataError(f"{path}: array '{part}.{name}' is missing")
+        shape = arrays[name].shape
+        fits = len(shape) == len(expected) and all(
+            free.setdefault(want, got) == got if isinstance(want, str)
+            else want == got
+            for want, got in zip(expected, shape)
+        )
+        if not fits:
+            wanted = tuple(free.get(w, w) if isinstance(w, str) else w
+                           for w in expected)
+            raise DataError(
+                f"{path}: array '{part}.{name}' has shape {shape}, "
+                f"expected {wanted} for this inventory and metadata"
+            )
+
+
 def checkpoint_meta(path: str | pathlib.Path) -> dict:
     """The bundle's metadata (schema, fingerprint, position, ...)."""
     return _read_checkpoint(pathlib.Path(path))[1]
@@ -212,6 +267,10 @@ def load_checkpoint(
         }
         for prefix in prefixes
     }
+    for part in _PARTS:
+        if part in parts:
+            _check_state_arrays(path, part, arrays[part], parts[part],
+                                inventory)
 
     analyzer = StreamAnalyzer(
         inventory,
@@ -223,10 +282,13 @@ def load_checkpoint(
     analyzer.lam = StreamingLambda.from_state(
         arrays["lambda"], parts["lambda"],
     )
-    analyzer.mu = StreamingMu.from_state(
-        inventory.n_servers, inventory.server_base,
-        arrays["mu"], parts["mu"],
-    )
+    try:
+        analyzer.mu = StreamingMu.from_state(
+            inventory.n_servers, inventory.server_base,
+            arrays["mu"], parts["mu"],
+        )
+    except DataError as error:  # μ's own check of its open bounds
+        raise DataError(f"{path}: {error}") from error
     # "sku"/"dc" here are checkpoint part prefixes (_PARTS), not
     # telemetry column names.
     analyzer.sku_counts.restore(arrays["sku"], parts["sku"])  # repro: noqa[schema-fields]

@@ -409,7 +409,9 @@ class StreamingMu:
         # NaN marks "none open" in the dense columns, so a non-finite
         # bound read back from outside would silently close an interval.
         if not np.isfinite(bounds).all():
-            raise DataError("non-finite open interval bound in μ state")
+            raise DataError(
+                "non-finite open interval bound in μ state array 'open_bounds'"
+            )
         for gid, (start, end) in zip(
             np.asarray(arrays["open_gids"], dtype=np.int64), bounds,
         ):

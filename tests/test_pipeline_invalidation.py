@@ -26,7 +26,9 @@ from repro.pipeline import (
 )
 from repro.reporting.context import (
     SIMULATE_STAGE,
+    SKU_RANKING_STAGE,
     AnalysisContext,
+    fielddata_stage,
     provisioner_stage,
     rack_day_stage,
 )
@@ -39,6 +41,10 @@ from repro.reporting.experiments import (
 #: table1 renders from code only, fig02 needs ``rack_day:all``, fig10
 #: needs ``provisioner:24h`` — three distinct invalidation footprints.
 IDS = ("table1", "fig02", "fig10")
+
+#: The renders below the Q2 and Q3 decision modules (fig18 cannot
+#: normalize on this small fleet), with table1 as the untouched control.
+DECISION_IDS = ("table1", "fig14", "fig15", "fig16", "fig17", "fielddata")
 
 
 @pytest.fixture(scope="module")
@@ -54,15 +60,29 @@ def cold_store(config, tmp_path_factory):
     return root
 
 
-def resolve(config, root, render_params=None):
-    """Render IDS through a fresh pipeline; return {stage: outcome}."""
+@pytest.fixture(scope="module")
+def decisions_store(config, tmp_path_factory):
+    """An artifact store after one cold render of DECISION_IDS."""
+    root = tmp_path_factory.mktemp("decisions")
+    resolve(config, root, ids=DECISION_IDS)
+    return root
+
+
+def resolve(config, root, render_params=None, ids=IDS):
+    """Render ``ids`` through a fresh pipeline; return {stage: outcome}."""
     pipeline = build_report_pipeline(
         config, store=ArtifactStore(root),
-        experiment_ids=IDS, render_params=render_params,
+        experiment_ids=ids, render_params=render_params,
     )
-    for experiment_id in IDS:
+    for experiment_id in ids:
         pipeline.get(render_stage_name(experiment_id))
     return {e.stage: e.outcome for e in pipeline.executions}
+
+
+def recomputed_renders(outcomes):
+    """Experiment ids whose render stage ran."""
+    return {stage[len("render:"):] for stage, outcome in outcomes.items()
+            if stage.startswith("render:") and outcome == "computed"}
 
 
 @pytest.fixture()
@@ -144,6 +164,25 @@ class TestInvalidationMatrix:
         for eid in IDS:
             assert outcomes[render_stage_name(eid)] == "computed"
 
+    def test_sku_ranking_touch_recomputes_q2_consumers(
+            self, config, decisions_store, touch_modules, forbid_simulation):
+        touch_modules("repro.decisions.sku_ranking")
+        outcomes = resolve(config, decisions_store, ids=DECISION_IDS)
+        assert recomputed_renders(outcomes) == {"fig14", "fig15", "fielddata"}
+        assert outcomes[SKU_RANKING_STAGE] == "computed"
+        for severity in FIELDDATA_SEVERITIES:
+            assert outcomes[fielddata_stage(severity)] == "computed"
+        assert outcomes[SIMULATE_STAGE] == "disk"
+
+    def test_climate_touch_recomputes_q3_consumers(
+            self, config, decisions_store, touch_modules, forbid_simulation):
+        touch_modules("repro.decisions.climate")
+        outcomes = resolve(config, decisions_store, ids=DECISION_IDS)
+        assert recomputed_renders(outcomes) == {"fig16", "fig17", "fielddata"}
+        for severity in FIELDDATA_SEVERITIES:
+            assert outcomes[fielddata_stage(severity)] == "computed"
+        assert outcomes[SIMULATE_STAGE] == "disk"
+
     def test_render_param_touch_never_resimulates(
             self, config, cold_store, forbid_simulation):
         outcomes = resolve(config, cold_store,
@@ -221,6 +260,11 @@ class TestStageDeclarations:
         for experiment_id, experiment in EXPERIMENTS.items():
             missing = set(experiment.stages) - catalogue
             assert not missing, (experiment_id, missing)
+
+    def test_climate_figures_declare_climate_code(self):
+        for experiment_id in ("fig16", "fig17", "fig18"):
+            assert ("repro.decisions.climate"
+                    in get_experiment(experiment_id).code), experiment_id
 
     def test_every_declared_code_module_fingerprints(self):
         for experiment in EXPERIMENTS.values():

@@ -195,6 +195,76 @@ class TestRefusals:
             clone.process_block(next(wrong_offset))
 
 
+def _tampered_checkpoint(analyzer, tmp_path, edit):
+    """A checkpoint of ``analyzer`` whose arrays ``edit`` rewrote."""
+    path = save_checkpoint(analyzer, tmp_path / "c.npz")
+    with np.load(path) as bundle:
+        arrays = {key: bundle[key] for key in bundle.files}
+    edit(arrays)
+    tampered = tmp_path / "tampered.npz"
+    with tampered.open("wb") as handle:
+        np.savez(handle, **arrays)
+    return tampered
+
+
+class TestStateArrayShapes:
+    """Every malformed state array fails as a DataError naming the file
+    and the array, before any of it reaches an estimator."""
+
+    def _refused(self, half_streamed, tmp_path, edit, array, match):
+        inventory, analyzer = half_streamed
+        path = _tampered_checkpoint(analyzer, tmp_path, edit)
+        with pytest.raises(DataError, match=match) as raised:
+            load_checkpoint(path, inventory)
+        assert str(path) in str(raised.value)
+        assert array in str(raised.value)
+
+    def test_missing_lambda_counts(self, half_streamed, tmp_path):
+        self._refused(half_streamed, tmp_path,
+                      lambda arrays: arrays.pop("lambda.counts"),
+                      "lambda.counts", "missing")
+
+    def test_undersized_lambda_counts(self, half_streamed, tmp_path):
+        # At the parent this resumed and finished with a (3, 3) λ matrix.
+        def shrink(arrays):
+            arrays["lambda.counts"] = arrays["lambda.counts"][:3, :3].copy()
+
+        self._refused(half_streamed, tmp_path, shrink, "lambda.counts",
+                      r"shape \(3, 3\)")
+
+    def test_undersized_mu_diff(self, half_streamed, tmp_path):
+        def shrink(arrays):
+            arrays["mu.diff"] = arrays["mu.diff"][:2, :2].copy()
+
+        self._refused(half_streamed, tmp_path, shrink, "mu.diff",
+                      r"shape \(2, 2\)")
+
+    def test_non_finite_open_bound_names_file(self, half_streamed, tmp_path):
+        def poison(arrays):
+            bounds = arrays["mu.open_bounds"].copy()
+            assert len(bounds), "fixture must leave an interval open"
+            bounds[0, 0] = np.nan
+            arrays["mu.open_bounds"] = bounds
+
+        self._refused(half_streamed, tmp_path, poison, "open_bounds",
+                      "non-finite")
+
+    def test_unpaired_open_bounds(self, half_streamed, tmp_path):
+        def drop_row(arrays):
+            arrays["mu.open_bounds"] = arrays["mu.open_bounds"][1:].copy()
+
+        self._refused(half_streamed, tmp_path, drop_row, "mu.open_bounds",
+                      "expected")
+
+    @pytest.mark.parametrize("array", ["sku.ring", "dc.totals", "monitor.down",
+                                       "drift.day_counts"])
+    def test_other_parts_checked(self, half_streamed, tmp_path, array):
+        def shrink(arrays):
+            arrays[array] = arrays[array][:1].copy()
+
+        self._refused(half_streamed, tmp_path, shrink, array, "expected")
+
+
 @pytest.fixture(scope="module")
 def fitted_model(tiny_run):
     from repro.predict import build_feature_dataset, train_predictor
