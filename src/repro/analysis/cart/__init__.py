@@ -1,6 +1,6 @@
 """CART from scratch: criteria, splitter, tree, pruning, rendering."""
 
-from .criteria import gini_impurity, node_mean, node_sse, sse_split_scan
+from .criteria import gini_impurity, node_mean, node_sse
 from .export import describe_path, render_tree
 from .importance import permutation_importance
 from .prune import PruneStep, cross_validated_alpha, prune, prune_sequence
@@ -23,5 +23,4 @@ __all__ = [
     "prune",
     "prune_sequence",
     "render_tree",
-    "sse_split_scan",
 ]

@@ -96,30 +96,3 @@ def split_sse(
         right_sse = right_wy2 - np.where(right_w > 0, right_wy**2 / right_w, 0.0)
     # Numerical noise can push tiny SSEs slightly negative.
     return np.maximum(left_sse, 0.0), np.maximum(right_sse, 0.0)
-
-
-def sse_split_scan(
-    y_sorted: np.ndarray,
-    weights_sorted: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """SSE of (left, right) partitions for every prefix split point.
-
-    Args:
-        y_sorted: responses ordered by the candidate split variable.
-        weights_sorted: aligned weights.
-
-    Returns:
-        (left_sse, right_sse), each of length ``n - 1``; entry ``i``
-        corresponds to putting rows ``0..i`` on the left.
-
-    Uses the identity ``SSE = Σ w y² − (Σ w y)² / Σ w`` with prefix
-    sums, making the scan O(n) per feature.
-    """
-    y = np.asarray(y_sorted, dtype=float)
-    w = np.asarray(weights_sorted, dtype=float)
-    n = y.size
-    if n < 2:
-        raise DataError("need at least 2 rows to scan splits")
-    if w.shape != y.shape:
-        raise DataError("weights must align with y")
-    return split_sse(prefix_sums(y, w), slice(0, n - 1))

@@ -21,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis.cart.tree import RegressionTree, TreeParams
-from ..analysis.clustering import clusters_from_tree
 from ..errors import DataError
 from ..failures.engine import SimulationResult
 from ..failures.tickets import FaultType
-from ..telemetry.aggregate import mu_matrix, rack_static_table
-from .availability import AvailabilitySla, required_spares, uniform_fraction_for_pool
-from .tco import TcoModel
+from ..telemetry.aggregate import mu_matrix
+from .availability import AvailabilitySla, SpareSizer
+from .tco import DIMM_COST_UNITS, DISK_COST_UNITS, SERVER_COST_UNITS
 
 # Resource split of hardware faults: disks and DIMMs get their own spare
 # pools; everything else (power, server, network) consumes server spares.
@@ -36,6 +34,13 @@ COMPONENT_FAULTS: dict[str, list[FaultType]] = {
     "disk": [FaultType.DISK],
     "dimm": [FaultType.MEMORY],
     "server": [FaultType.POWER, FaultType.SERVER, FaultType.NETWORK],
+}
+
+#: Cost of one spare unit of each resource, in the paper's ratio.
+UNIT_COST = {
+    "disk": DISK_COST_UNITS,
+    "dimm": DIMM_COST_UNITS,
+    "server": SERVER_COST_UNITS,
 }
 
 
@@ -79,110 +84,51 @@ class ComponentPlan:
 class ComponentProvisioner:
     """Computes Fig 13's component-vs-server spare costs.
 
+    Each resource pool is a μ matrix plus its units per rack, sized by
+    :class:`~repro.decisions.availability.SpareSizer` exactly as Q1-A
+    sizes server spares.
+
     Args:
         result: simulation run.
         window_hours: μ window (the paper presents daily).
-        tco: cost model (defaults to the paper's ratios).
-        min_service_days: rack eligibility threshold, as in Q1-A.
     """
 
-    def __init__(
-        self,
-        result: SimulationResult,
-        window_hours: float = 24.0,
-        tco: TcoModel | None = None,
-        min_service_days: int = 56,
-    ):
-        self.result = result
-        self.window_hours = window_hours
-        self.tco = tco or TcoModel()
-        self.arrays = result.fleet.arrays()
-
-        # Raw device intervals for component pools (each failed disk is a
-        # spare consumed); merged per-server intervals for server pools.
-        self.mu_by_resource = {
-            "disk": mu_matrix(result, window_hours, COMPONENT_FAULTS["disk"],
-                              per_server=False),
-            "dimm": mu_matrix(result, window_hours, COMPONENT_FAULTS["dimm"],
-                              per_server=False),
-            "server": mu_matrix(result, window_hours, COMPONENT_FAULTS["server"],
-                                per_server=True),
+    def __init__(self, result: SimulationResult, window_hours: float = 24.0):
+        self.sizer = SpareSizer(result, window_hours)
+        arrays = self.sizer.arrays
+        servers = arrays.n_servers.astype(float)
+        # resource -> (μ matrix, units per rack).  Raw device intervals
+        # for component pools (each failed disk is a spare consumed);
+        # merged per-server intervals for server pools.
+        self.pools = {
+            "disk": (mu_matrix(result, window_hours, COMPONENT_FAULTS["disk"],
+                               per_server=False),
+                     (arrays.n_servers * arrays.hdds_per_server).astype(float)),
+            "dimm": (mu_matrix(result, window_hours, COMPONENT_FAULTS["dimm"],
+                               per_server=False),
+                     (arrays.n_servers * arrays.dimms_per_server).astype(float)),
+            "server": (mu_matrix(result, window_hours, COMPONENT_FAULTS["server"],
+                                 per_server=True),
+                       servers),
         }
-        self.mu_all = mu_matrix(result, window_hours, per_server=True)
+        # The all-server-spares alternative: every hardware fault.
+        self.all_servers = (mu_matrix(result, window_hours, per_server=True),
+                            servers)
 
-        n_windows = self.mu_all.shape[1]
-        window_start_day = np.arange(n_windows) * window_hours / 24.0
-        self._in_service = (
-            self.arrays.commission_day[:, np.newaxis]
-            <= window_start_day[np.newaxis, :]
-        )
-        service_days = self._in_service.sum(axis=1) * window_hours / 24.0
-        self._eligible = service_days >= min_service_days
-
-    # -- shared helpers ----------------------------------------------------
-
-    def workload_racks(self, workload: str) -> np.ndarray:
-        """Eligible rack indices assigned to ``workload``."""
-        self.result.fleet.workloads.get(workload)
-        code = self.arrays.workload_names.index(workload)
-        racks = np.flatnonzero((self.arrays.workload_code == code) & self._eligible)
-        if racks.size == 0:
-            raise DataError(f"no eligible racks for workload {workload!r}")
-        return racks
-
-    def _units(self, resource: str, racks: np.ndarray) -> np.ndarray:
-        """Per-rack unit capacity of a resource pool."""
-        if resource == "disk":
-            return (self.arrays.n_servers[racks]
-                    * self.arrays.hdds_per_server[racks]).astype(float)
-        if resource == "dimm":
-            return (self.arrays.n_servers[racks]
-                    * self.arrays.dimms_per_server[racks]).astype(float)
-        if resource == "server":
-            return self.arrays.n_servers[racks].astype(float)
-        raise DataError(f"unknown resource {resource!r}")
-
-    def _fractions_lb(self, mu: np.ndarray, racks: np.ndarray,
-                      units: np.ndarray, sla: AvailabilitySla) -> np.ndarray:
-        """Per-rack oracle fractions for one resource."""
-        fractions = np.empty(len(racks))
-        for i, rack in enumerate(racks.tolist()):
-            samples = mu[rack][self._in_service[rack]]
-            fractions[i] = required_spares(samples, sla, units[i]) / units[i]
-        return fractions
-
-    def _fraction_sf(self, mu: np.ndarray, racks: np.ndarray,
-                     units: np.ndarray, sla: AvailabilitySla) -> float:
-        """Pooled uniform fraction for one resource."""
-        pooled = np.concatenate([
-            mu[rack][self._in_service[rack]] / units[i]
-            for i, rack in enumerate(racks.tolist())
-        ])
-        return uniform_fraction_for_pool(pooled, sla)
-
-    def _fractions_mf(self, mu: np.ndarray, racks: np.ndarray,
-                      units: np.ndarray, sla: AvailabilitySla) -> np.ndarray:
-        """Cluster-wise fractions for one resource (as in Q1-A's MF)."""
-        requirement = self._fractions_lb(mu, racks, units, sla)
-        static = rack_static_table(self.result).take(racks)
-        matrix, schema = static.feature_matrix(
-            ["dc", "region", "sku", "age_months", "rated_power_kw"]
-        )
-        min_bucket = max(3, len(racks) // 18)
-        params = TreeParams(
-            max_depth=6, min_split=2 * min_bucket, min_bucket=min_bucket,
-            cp=0.004, max_leaves=12,
-        )
-        tree = RegressionTree(params).fit(matrix, requirement, schema)
-        fractions = np.empty(len(racks))
-        for cluster in clusters_from_tree(tree, matrix):
-            member_rows = cluster.member_rows
-            pooled = np.concatenate([
-                mu[racks[row]][self._in_service[racks[row]]] / units[row]
-                for row in member_rows.tolist()
-            ])
-            fractions[member_rows] = uniform_fraction_for_pool(pooled, sla)
-        return fractions
+    def _spare_units(self, approach: str, pool: tuple[np.ndarray, np.ndarray],
+                     racks: np.ndarray, sla: AvailabilitySla) -> float:
+        """Total spare units one pool needs over ``racks``."""
+        mu, units = pool
+        if approach == "LB":
+            fractions = (self.sizer.lower_bound(mu, units, racks, sla)
+                         / units[racks])
+        elif approach == "SF":
+            fractions = np.full(
+                len(racks), self.sizer.single_factor(mu, units, racks, sla))
+        else:
+            groups = self.sizer.clusters(mu, units, racks, sla)
+            fractions, _ = self.sizer.multi_factor(mu, units, racks, sla, groups)
+        return float((fractions * units[racks]).sum())
 
     # -- the headline comparison -------------------------------------------
 
@@ -190,54 +136,28 @@ class ComponentProvisioner:
         """Component-vs-server plan for one workload and approach."""
         if approach not in ("LB", "SF", "MF"):
             raise DataError(f"unknown approach {approach!r}")
-        racks = self.workload_racks(workload)
+        racks = self.sizer.workload_racks(workload)
 
         resources: list[ResourceProvision] = []
         component_cost = 0.0
-        for resource, mu in self.mu_by_resource.items():
-            units = self._units(resource, racks)
-            if approach == "LB":
-                fractions = self._fractions_lb(mu, racks, units, sla)
-            elif approach == "SF":
-                fractions = np.full(
-                    len(racks), self._fraction_sf(mu, racks, units, sla)
-                )
-            else:
-                fractions = self._fractions_mf(mu, racks, units, sla)
-            spare_units = float((fractions * units).sum())
-            mean_fraction = spare_units / units.sum()
+        for resource, pool in self.pools.items():
+            spare_units = self._spare_units(approach, pool, racks, sla)
+            units_total = pool[1][racks].sum()
             resources.append(ResourceProvision(
                 resource=resource,
-                fraction=mean_fraction,
-                units_total=int(units.sum()),
+                fraction=spare_units / units_total,
+                units_total=int(units_total),
             ))
-            unit_cost = {
-                "disk": self.tco.params.disk_cost,
-                "dimm": self.tco.params.dimm_cost,
-                "server": self.tco.params.server_cost,
-            }[resource]
-            component_cost += spare_units * unit_cost
+            component_cost += spare_units * UNIT_COST[resource]
 
-        server_units = self._units("server", racks)
-        if approach == "LB":
-            server_fractions = self._fractions_lb(self.mu_all, racks, server_units, sla)
-        elif approach == "SF":
-            server_fractions = np.full(
-                len(racks), self._fraction_sf(self.mu_all, racks, server_units, sla)
-            )
-        else:
-            server_fractions = self._fractions_mf(self.mu_all, racks, server_units, sla)
-        server_spares = float((server_fractions * server_units).sum())
-        server_fraction = server_spares / server_units.sum()
-        server_cost = server_spares * self.tco.params.server_cost
-
+        server_spares = self._spare_units(approach, self.all_servers, racks, sla)
         return ComponentPlan(
             approach=approach,
             workload=workload,
             component_cost=component_cost,
-            server_cost=server_cost,
+            server_cost=server_spares * SERVER_COST_UNITS,
             resources=tuple(resources),
-            server_fraction=server_fraction,
+            server_fraction=server_spares / self.all_servers[1][racks].sum(),
         )
 
     def compare(self, workload: str, sla: AvailabilitySla) -> dict[str, ComponentPlan]:

@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import DataError
 from ..failures.engine import SimulationResult
 from ..telemetry.aggregate import mu_matrix
-from .availability import AvailabilitySla
+from .availability import AvailabilitySla, SpareSizer
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,8 @@ def pooling_analysis(
     only reinforces the inequality).
     """
     sla = sla or AvailabilitySla(1.0)
-    arrays = result.fleet.arrays()
+    sizer = SpareSizer(result, window_hours)
+    arrays = sizer.arrays
     dc_names = list(arrays.dc_names)
     if dc_name not in dc_names:
         raise DataError(f"unknown DC {dc_name!r}; have {dc_names}")
@@ -99,29 +100,15 @@ def pooling_analysis(
         raise DataError(f"{dc_name} has no racks")
 
     mu = mu_matrix(result, window_hours)
-    n_windows = mu.shape[1]
-    window_start_day = np.arange(n_windows) * window_hours / 24.0
-    in_service = (
-        arrays.commission_day[:, np.newaxis] <= window_start_day[np.newaxis, :]
-    )
-    active_mu = np.where(in_service, mu, 0)
-
+    servers = arrays.n_servers.astype(float)
     dedicated: dict[str, float] = {}
     for code, workload in enumerate(arrays.workload_names):
-        members = in_dc & (arrays.workload_code == code)
-        if not members.any():
-            continue
-        pooled = active_mu[members].sum(axis=0)
-        capacity = float(arrays.n_servers[members].sum())
-        dedicated[workload] = float(
-            max(0.0, pooled.max() - sla.shortfall * capacity)
-        )
+        members = np.flatnonzero(in_dc & (arrays.workload_code == code))
+        if members.size:
+            dedicated[workload] = sizer.shared_pool(mu, servers, members, sla)
     if not dedicated:
         raise DataError(f"{dc_name} hosts no workloads")
-
-    joint = active_mu[in_dc].sum(axis=0)
-    joint_capacity = float(arrays.n_servers[in_dc].sum())
-    shared = float(max(0.0, joint.max() - sla.shortfall * joint_capacity))
+    shared = sizer.shared_pool(mu, servers, np.flatnonzero(in_dc), sla)
 
     return PoolingAnalysis(
         dc=dc_name,

@@ -136,6 +136,28 @@ def batch_winners(batch_id: np.ndarray, ordinal: np.ndarray) -> np.ndarray:
     return rows[first]
 
 
+class FaultSelector:
+    """Row mask for one set of fault types, built once, applied per block.
+
+    ``selector(codes)`` equals ``np.isin(codes, selector.codes)``: codes
+    outside :data:`FAULT_TYPES` (the ``-1`` of non-ticket event rows, a
+    corrupt ``99``) select nothing.  The one fault filter:
+    :meth:`TicketLog.mask_for_faults` applies it to the whole log, the
+    stream consumers to each block.
+    """
+
+    def __init__(self, faults: list[FaultType] | tuple[FaultType, ...]):
+        self.codes = frozenset(FAULT_CODE[fault] for fault in faults)
+        # Clipped reads send codes past the table to its trailing False;
+        # negative codes would clip onto code 0, so they are masked off.
+        self._table = np.zeros(len(FAULT_TYPES) + 1, dtype=bool)
+        self._table[list(self.codes)] = True
+
+    def __call__(self, codes: np.ndarray) -> np.ndarray:
+        codes = np.asarray(codes)
+        return self._table.take(codes, mode="clip") & (codes >= 0)
+
+
 class TicketLog:
     """Columnar accumulator of RMA tickets for a whole simulation run.
 
@@ -297,8 +319,7 @@ class TicketLog:
 
     def mask_for_faults(self, faults: list[FaultType] | tuple[FaultType, ...]) -> np.ndarray:
         """Boolean mask selecting tickets of any of the given fault types."""
-        codes = {FAULT_CODE[fault] for fault in faults}
-        return np.isin(self.fault_code, list(codes))
+        return FaultSelector(faults)(self.fault_code)
 
     def hardware_mask(self) -> np.ndarray:
         """Boolean mask selecting hardware-category tickets."""

@@ -205,7 +205,7 @@ def _provisioner_stage(window_hours: float) -> Stage:
         provisioner_stage(window_hours), run,
         deps=(SIMULATE_STAGE,),
         fingerprint_inputs={"window_hours": window_hours},
-        code=("repro.decisions.spares",),
+        code=("repro.decisions.spares", "repro.decisions.availability"),
     )
 
 
@@ -218,7 +218,8 @@ def _component_provisioner_stage(window_hours: float) -> Stage:
         component_provisioner_stage(window_hours), run,
         deps=(SIMULATE_STAGE,),
         fingerprint_inputs={"window_hours": window_hours},
-        code=("repro.decisions.component_spares",),
+        code=("repro.decisions.component_spares",
+              "repro.decisions.availability"),
     )
 
 

@@ -233,10 +233,8 @@ def fig01_cdf_concept(
     if plan.clusters is None or len(plan.clusters) < 2:
         raise DataError("need at least two clusters for the Fig 1 construction")
     racks = plan.rack_indices
-    capacity = provisioner.arrays.n_servers[racks].astype(float)
-    requirements = np.array([
-        provisioner.rack_requirement(rack, sla) for rack in racks
-    ]) / capacity
+    # Each rack's own requirement fraction is its LB allocation.
+    requirements = provisioner.lower_bound(workload, sla).per_rack_fraction
     clusters = sorted(plan.clusters, key=lambda cluster: cluster.fraction)
     rack_position = {rack: i for i, rack in enumerate(racks.tolist())}
     low = np.array([requirements[rack_position[r]]

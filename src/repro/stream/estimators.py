@@ -32,9 +32,9 @@ import numpy as np
 
 from ..errors import DataError
 from ..failures.tickets import (
-    FAULT_CODE,
     FAULT_TYPES,
     HARDWARE_FAULTS,
+    FaultSelector,
     FaultType,
     batch_winners,
 )
@@ -54,14 +54,6 @@ _NO_WINNER = (np.iinfo(np.int64).max, 0, 0, 0)
 def _open_ticket_columns(block: EventBlock) -> dict[str, np.ndarray] | None:
     """The block's ticket-open rows as columns (cached on the block)."""
     return block.open_ticket_columns()
-
-
-def _fault_codes(
-    faults: list[FaultType] | tuple[FaultType, ...] | None,
-) -> frozenset[int] | None:
-    if faults is None:
-        return None
-    return frozenset(FAULT_CODE[fault] for fault in faults)
 
 
 def codes_to_faults(codes: list[int] | None) -> tuple[FaultType, ...] | None:
@@ -93,7 +85,7 @@ class StreamingLambda:
         self.n_days = n_days
         self.true_positives_only = true_positives_only
         self.dedupe_batches = dedupe_batches
-        self._codes = _fault_codes(faults)
+        self._faults = None if faults is None else FaultSelector(faults)
         self._counts = np.zeros((n_racks, n_days), dtype=np.int64)
         # batch_id -> (log ordinal, rack, day, passes-filters flag) of the
         # current winner (the smallest-ordinal row seen so far).
@@ -104,9 +96,8 @@ class StreamingLambda:
         passes = np.ones(len(columns["rack"]), dtype=bool)
         if self.true_positives_only:
             passes &= ~columns["fp"]
-        if self._codes is not None:
-            codes = np.fromiter(sorted(self._codes), dtype=np.int64)
-            passes &= np.isin(columns["fault"], codes)
+        if self._faults is not None:
+            passes &= self._faults(columns["fault"])
         return passes
 
     def _validate_counted(self, rack: np.ndarray, day: np.ndarray) -> None:
@@ -185,7 +176,7 @@ class StreamingLambda:
         return {
             "n_racks": self.n_racks,
             "n_days": self.n_days,
-            "faults": None if self._codes is None else sorted(self._codes),
+            "faults": None if self._faults is None else sorted(self._faults.codes),
             "true_positives_only": self.true_positives_only,
             "dedupe_batches": self.dedupe_batches,
             "events_counted": self.events_counted,
@@ -238,7 +229,7 @@ class StreamingMu:
         self.window_hours = float(window_hours)
         self.per_server = per_server
         self.total_windows = n_windows(n_days, window_hours)
-        self._codes = _fault_codes(faults)
+        self._faults = FaultSelector(faults)
         self.n_racks = len(self.n_servers)
         self._diff = np.zeros(
             (self.n_racks, self.total_windows + 1), dtype=np.int64
@@ -300,10 +291,7 @@ class StreamingMu:
         columns = _open_ticket_columns(block)
         if columns is None:
             return
-        keep = ~columns["fp"]
-        if self._codes is not None:
-            codes = np.fromiter(sorted(self._codes), dtype=np.int64)
-            keep &= np.isin(columns["fault"], codes)
+        keep = ~columns["fp"] & self._faults(columns["fault"])
         if not keep.any():
             return
         rack = columns["rack"][keep]
@@ -384,7 +372,7 @@ class StreamingMu:
         return {
             "n_days": self.n_days,
             "window_hours": self.window_hours,
-            "faults": None if self._codes is None else sorted(self._codes),
+            "faults": sorted(self._faults.codes),
             "per_server": self.per_server,
         }
 

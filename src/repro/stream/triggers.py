@@ -35,10 +35,9 @@ import numpy as np
 
 from ..decisions.availability import AvailabilitySla, uniform_fraction_for_pool
 from ..errors import DataError
-from ..failures.tickets import HARDWARE_FAULTS
+from ..failures.tickets import HARDWARE_FAULTS, FaultSelector
 from ..telemetry.windows import group_start_flags, segmented_scan
 from .blocks import KIND_RANK, EventBlock, EventKind, StreamInventory
-from .estimators import _fault_codes
 
 _OPEN_CODE = KIND_RANK[EventKind.TICKET_OPEN]
 _CLOSE_CODE = KIND_RANK[EventKind.TICKET_CLOSE]
@@ -133,7 +132,7 @@ class SlaRiskMonitor:
         if (fraction < 0).any():
             raise DataError("spare_fraction must be >= 0")
         self.spare_fraction = fraction
-        self._codes = _fault_codes(faults)
+        self._faults = FaultSelector(faults)
         capacity = inventory.n_servers.astype(float)
         # Breach when down > allowed; allowed = spares + tolerated shortfall.
         self.allowed = fraction * capacity + sla.shortfall * capacity
@@ -186,10 +185,7 @@ class SlaRiskMonitor:
         if not relevant.any():
             return []
         rows = np.nonzero(relevant)[0]
-        tracks = ~block.false_positive[rows]
-        if self._codes is not None:
-            codes = np.fromiter(sorted(self._codes), dtype=np.int64)
-            tracks &= np.isin(block.fault_code[rows], codes)
+        tracks = ~block.false_positive[rows] & self._faults(block.fault_code[rows])
         rack = block.rack_index[rows].astype(np.int64)
         tracks &= (rack >= 0) & (rack < self.inventory.n_racks)
         if not tracks.any():
@@ -297,7 +293,7 @@ class SlaRiskMonitor:
         """JSON-serializable configuration + scalars."""
         return {
             "sla_level": self.sla.level,
-            "faults": None if self._codes is None else sorted(self._codes),
+            "faults": sorted(self._faults.codes),
             "alerts_emitted": self.alerts_emitted,
         }
 

@@ -303,7 +303,7 @@ class ReferenceSlaRiskMonitor(SlaRiskMonitor):
     def _tracks(self, event: Event) -> bool:
         if event.false_positive:
             return False
-        if self._codes is not None and event.fault_code not in self._codes:
+        if event.fault_code not in self._faults.codes:
             return False
         return 0 <= event.rack_index < self.inventory.n_racks
 

@@ -8,7 +8,8 @@ from repro.analysis.cart.criteria import (
     gini_impurity,
     node_mean,
     node_sse,
-    sse_split_scan,
+    prefix_sums,
+    split_sse,
 )
 from repro.errors import DataError
 
@@ -66,12 +67,17 @@ class TestGini:
         assert heavy_zero < 0.5
 
 
+def scan(y, w):
+    """SSE of (left, right) at every prefix cut, as the grower scores it."""
+    return split_sse(prefix_sums(y, w), slice(0, len(y) - 1))
+
+
 class TestSplitScan:
     @given(samples)
     def test_matches_direct_computation(self, values):
         y = np.array(values)
         w = np.ones(len(y))
-        left_sse, right_sse = sse_split_scan(y, w)
+        left_sse, right_sse = scan(y, w)
         for i in range(len(y) - 1):
             assert left_sse[i] == pytest.approx(node_sse(y[:i + 1]), abs=1e-6)
             assert right_sse[i] == pytest.approx(node_sse(y[i + 1:]), abs=1e-6)
@@ -80,17 +86,13 @@ class TestSplitScan:
     def test_split_never_increases_total_sse(self, values):
         y = np.array(values)
         w = np.ones(len(y))
-        left_sse, right_sse = sse_split_scan(y, w)
+        left_sse, right_sse = scan(y, w)
         parent = node_sse(y)
         assert np.all(left_sse + right_sse <= parent + 1e-6)
-
-    def test_too_small_rejected(self):
-        with pytest.raises(DataError):
-            sse_split_scan(np.array([1.0]), np.array([1.0]))
 
     def test_weighted_scan(self):
         y = np.array([0.0, 0.0, 10.0, 10.0])
         w = np.array([1.0, 1.0, 2.0, 2.0])
-        left_sse, right_sse = sse_split_scan(y, w)
+        left_sse, right_sse = scan(y, w)
         # Splitting between the 0s and 10s yields zero SSE on both sides.
         assert left_sse[1] + right_sse[1] == pytest.approx(0.0, abs=1e-9)

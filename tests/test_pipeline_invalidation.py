@@ -28,6 +28,7 @@ from repro.reporting.context import (
     SIMULATE_STAGE,
     SKU_RANKING_STAGE,
     AnalysisContext,
+    component_provisioner_stage,
     fielddata_stage,
     provisioner_stage,
     rack_day_stage,
@@ -45,6 +46,11 @@ IDS = ("table1", "fig02", "fig10")
 #: The renders below the Q2 and Q3 decision modules (fig18 cannot
 #: normalize on this small fleet), with table1 as the untouched control.
 DECISION_IDS = ("table1", "fig14", "fig15", "fig16", "fig17", "fielddata")
+
+#: Q1-A (fig10, ``provisioner:24h``) and Q1-B (fig13,
+#: ``component_provisioner:24h``), which share the spare-sizing kernel,
+#: with table1 as the untouched control.
+Q1_IDS = ("table1", "fig10", "fig13")
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +71,14 @@ def decisions_store(config, tmp_path_factory):
     """An artifact store after one cold render of DECISION_IDS."""
     root = tmp_path_factory.mktemp("decisions")
     resolve(config, root, ids=DECISION_IDS)
+    return root
+
+
+@pytest.fixture(scope="module")
+def q1_store(config, tmp_path_factory):
+    """An artifact store after one cold render of Q1_IDS."""
+    root = tmp_path_factory.mktemp("q1")
+    resolve(config, root, ids=Q1_IDS)
     return root
 
 
@@ -182,6 +196,31 @@ class TestInvalidationMatrix:
         for severity in FIELDDATA_SEVERITIES:
             assert outcomes[fielddata_stage(severity)] == "computed"
         assert outcomes[SIMULATE_STAGE] == "disk"
+
+    def test_kernel_touch_recomputes_both_provisioners(
+            self, config, q1_store, touch_modules, forbid_simulation):
+        touch_modules("repro.decisions.availability")
+        outcomes = resolve(config, q1_store, ids=Q1_IDS)
+        assert recomputed_renders(outcomes) == {"fig10", "fig13"}
+        assert outcomes[provisioner_stage(24.0)] == "computed"
+        assert outcomes[component_provisioner_stage(24.0)] == "computed"
+        assert outcomes[SIMULATE_STAGE] == "disk"
+
+    def test_spares_touch_leaves_component_spares_on_disk(
+            self, config, q1_store, touch_modules, forbid_simulation):
+        touch_modules("repro.decisions.spares")
+        outcomes = resolve(config, q1_store, ids=Q1_IDS)
+        assert recomputed_renders(outcomes) == {"fig10"}
+        assert outcomes[render_stage_name("fig13")] == "disk"
+        assert component_provisioner_stage(24.0) not in outcomes
+
+    def test_component_spares_touch_leaves_fig10_on_disk(
+            self, config, q1_store, touch_modules, forbid_simulation):
+        touch_modules("repro.decisions.component_spares")
+        outcomes = resolve(config, q1_store, ids=Q1_IDS)
+        assert recomputed_renders(outcomes) == {"fig13"}
+        assert outcomes[render_stage_name("fig10")] == "disk"
+        assert provisioner_stage(24.0) not in outcomes
 
     def test_render_param_touch_never_resimulates(
             self, config, cold_store, forbid_simulation):
